@@ -44,6 +44,7 @@ from incentive_games.matrix_games import (
     solve_g2,
     solve_g3,
     solve_g4,
+    value_curves,
 )
 from incentive_games.oracle import (
     OracleReport,
@@ -106,6 +107,7 @@ __all__ = [
     "solve_g4",
     "solve_lp",
     "tilde_entropy",
+    "value_curves",
     "verify_matrix",
     "verify_qg",
 ]

@@ -1,14 +1,13 @@
 """Two-state belief arithmetic.
 
-Bayes posteriors, binary entropy with the uniform belief normalized to 1,
-the reference-prior transform used by the channel-cost machinery, Bayes-
-plausible posterior splits, and grid-based lower convex envelopes
-(bi-conjugates) of functions on [0, 1].
+Binary entropy with the uniform belief normalized to 1, the reference-prior
+transform used by the channel-cost machinery, Bayes-plausible posterior
+splits, and grid-based lower convex envelopes (bi-conjugates) of functions
+on [0, 1].
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -17,65 +16,16 @@ import numpy as np
 _P_TOL = 1e-12
 
 
-def as_probability(b) -> float:
-    """Accept a Belief or a bare probability."""
-    p = float(b)
-    if not (-_P_TOL <= p <= 1.0 + _P_TOL):
-        raise ValueError(f"belief must lie in [0, 1], got {p}")
-    return min(1.0, max(0.0, p))
-
-
-@dataclass(frozen=True)
-class Belief:
-    """Probability assigned to the first state; the second gets 1 - p1."""
-
-    p1: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "p1", as_probability(self.p1))
-
-    def __float__(self) -> float:
-        return self.p1
-
-    @property
-    def interior(self) -> bool:
-        return 0.0 < self.p1 < 1.0
-
-    @property
-    def degenerate(self) -> bool:
-        return not self.interior
-
-
-@dataclass(frozen=True)
-class SignalingScheme:
-    """Likelihood matrix pi(s | theta_k): rows are signals, the two columns
-    are states; each column sums to 1."""
-
-    likelihoods: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.likelihoods, dtype=float)
-        if m.ndim != 2 or m.shape[1] != 2:
-            raise ValueError(f"likelihoods must be (n_signals, 2), got {m.shape}")
-        if np.any(m < -1e-12):
-            raise ValueError("likelihoods must be nonnegative")
-        sums = m.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
-            raise ValueError(f"each state column must sum to 1, got {sums}")
-        object.__setattr__(self, "likelihoods", np.clip(m, 0.0, None))
-
-    @property
-    def n_signals(self) -> int:
-        return self.likelihoods.shape[0]
-
-    @staticmethod
-    def uninformative(n_signals: int = 1) -> "SignalingScheme":
-        col = np.full((n_signals, 1), 1.0 / n_signals)
-        return SignalingScheme(np.hstack([col, col]))
-
-    @staticmethod
-    def fully_revealing() -> "SignalingScheme":
-        return SignalingScheme(np.array([[1.0, 0.0], [0.0, 1.0]]))
+def as_probability(b):
+    """Validate a probability, or an array of them, and clip it into [0, 1].
+    A scalar comes back as a float, an array as an array."""
+    p = np.asarray(b, dtype=float)
+    inside = (p >= -_P_TOL) & (p <= 1.0 + _P_TOL)
+    if not np.all(inside):
+        raise ValueError(f"belief must lie in [0, 1], got {p[~inside].flat[0]}")
+    if p.ndim == 0:
+        return min(1.0, max(0.0, float(p)))
+    return np.clip(p, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -122,56 +72,34 @@ class EnvelopeResult:
     grid_size: int
 
 
-def bayes_posterior(prior, scheme: SignalingScheme, signal: int) -> Belief:
-    """Posterior on the first state after observing the given signal index."""
-    p = as_probability(prior)
-    lk = scheme.likelihoods
-    if not (0 <= signal < scheme.n_signals):
-        raise ValueError(f"signal index {signal} out of range")
-    marginal = lk[signal, 0] * p + lk[signal, 1] * (1.0 - p)
-    if marginal <= 0.0:
-        raise ValueError(f"signal {signal} has zero probability under this prior")
-    return Belief(lk[signal, 0] * p / marginal)
-
-
-def induced_split(prior, scheme: SignalingScheme) -> PosteriorSplit:
-    """Distribution over posteriors induced by a scheme; one atom per signal
-    with positive marginal, weights equal to signal marginals."""
-    p = as_probability(prior)
-    lk = scheme.likelihoods
-    marginals = lk[:, 0] * p + lk[:, 1] * (1.0 - p)
-    atoms = []
-    for s in range(scheme.n_signals):
-        if marginals[s] > 0.0:
-            atoms.append((lk[s, 0] * p / marginals[s], float(marginals[s])))
-    return PosteriorSplit(tuple(atoms))
-
-
-def binary_entropy(b) -> float:
-    """Base-2 entropy of a two-state belief; H(0.5) = 1, 0 log 0 = 0."""
+def binary_entropy(b):
+    """Base-2 entropy of a two-state belief (or an array of them);
+    H(0.5) = 1, 0 log 0 = 0."""
     p = as_probability(b)
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p))
+    h = np.where((p > 0.0) & (p < 1.0), h, 0.0)
+    return float(h) if h.ndim == 0 else h
 
 
-def reference_transform(posterior, prior) -> Belief:
+def reference_transform(posterior, prior):
     """Map a posterior generated under `prior` to the posterior the same
     signal realization would generate under a uniform reference prior.
 
-    Undefined for degenerate priors."""
+    `posterior` may be an array; `prior` is one interior belief (the
+    transform is undefined for degenerate priors)."""
     q = as_probability(prior)
     if not (0.0 < q < 1.0):
         raise ValueError("reference transform needs an interior prior")
     p = as_probability(posterior)
     num = p / q
-    den = num + (1.0 - p) / (1.0 - q)
-    return Belief(num / den)
+    return num / (num + (1.0 - p) / (1.0 - q))
 
 
-def tilde_entropy(posterior, prior) -> float:
-    """Entropy of the reference-transformed posterior. Equals 1 at the prior
-    itself and 0 at degenerate posteriors."""
+def tilde_entropy(posterior, prior):
+    """Entropy of the reference-transformed posterior (elementwise for an
+    array of posteriors). Equals 1 at the prior itself and 0 at degenerate
+    posteriors."""
     return binary_entropy(reference_transform(posterior, prior))
 
 

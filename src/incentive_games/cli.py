@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 
@@ -34,12 +33,11 @@ from incentive_games.matrix_games import (
     EquilibriumReport,
     PersuasionReport,
     SolverError,
-    agent_value_curve,
-    principal_value_curve,
     solve_g1,
     solve_g2,
     solve_g3,
     solve_g4,
+    value_curves,
 )
 from incentive_games.oracle import DEFAULT_SEED, verify_matrix, verify_qg
 from incentive_games.qg_games import (
@@ -53,7 +51,11 @@ from incentive_games.qg_games import (
 )
 from incentive_games.scenarios import Scenario, ScenarioError, load_scenario
 
+# --grid defaults: beliefs (or kappas of a matrix kappa sweep), then the
+# channel variances and the kappas of a qg sweep
+BELIEF_GRID_POINTS = 2001
 SIGMA_GRID_POINTS = 200
+QG_KAPPA_POINTS = 41
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +200,18 @@ def _sigma_grid(n: int) -> np.ndarray:
     return np.logspace(-6.0, 6.0, n)
 
 
-def _sweep(scenario: Scenario, over: str | None, grid: int) -> tuple[list[str], list]:
+def _full_information_line(table, beliefs: np.ndarray) -> np.ndarray:
+    """The g1 principal cost across beliefs: affine between the two states."""
+    v1, v2 = (o.principal_cost for o in solve_g1(table, 0.5).per_state)
+    return beliefs * v1 + (1.0 - beliefs) * v2
+
+
+def _sweep(scenario: Scenario, over: str | None, grid: int | None) -> tuple[list[str], list]:
     if scenario.kind == "matrix":
         over = over or "belief"
         if over == "belief":
-            beliefs, jp2 = principal_value_curve(scenario.table, grid)
-            _, ja2 = agent_value_curve(scenario.table, grid)
-            base = solve_g1(scenario.table, 0.5)
-            v1, v2 = (o.principal_cost for o in base.per_state)
-            jp1 = beliefs * v1 + (1.0 - beliefs) * v2
+            beliefs, jp2, ja2 = value_curves(scenario.table, grid)
+            jp1 = _full_information_line(scenario.table, beliefs)
             return ["belief", "j_p1", "j_p2", "j_a2"], zip(beliefs, jp1, jp2, ja2)
         if over == "kappa":
             kappas = np.linspace(0.0, max(4.0, 2.0 * scenario.kappa), grid)
@@ -219,11 +224,11 @@ def _sweep(scenario: Scenario, over: str | None, grid: int) -> tuple[list[str], 
     over = over or "sigma_w"
     p = scenario.params
     if over == "sigma_w":
-        sigmas = _sigma_grid(grid if grid != 2001 else SIGMA_GRID_POINTS)
+        sigmas = _sigma_grid(SIGMA_GRID_POINTS if grid is None else grid)
         rows = [(s, qg_g4_cost(p, float(s))) for s in sigmas]
         return ["sigma_w_sq", "total_cost"], rows
     if over == "kappa":
-        kappas = np.linspace(0.0, max(4.0, 2.0 * p.kappa), grid if grid != 2001 else 41)
+        kappas = np.linspace(0.0, max(4.0, 2.0 * p.kappa), QG_KAPPA_POINTS if grid is None else grid)
         rows = []
         for k in kappas:
             r = qg_g4_optimize(QGParams(p.beta, p.z0, p.sigma0_sq, float(k), p.sigma_w_sq))
@@ -246,20 +251,16 @@ def _figure(which: int, scenario: Scenario, grid: int) -> tuple[list[str], list]
     if which == 4 and scenario.kind != "qg":
         raise ScenarioError(f"{scenario.source}:1: figure 4 needs a qg scenario")
     if which == 1:
-        beliefs, jp2 = principal_value_curve(scenario.table, grid)
-        base = solve_g1(scenario.table, 0.5)
-        v1, v2 = (o.principal_cost for o in base.per_state)
-        jp1 = beliefs * v1 + (1.0 - beliefs) * v2
-        return ["belief", "j_p1", "j_p2"], zip(beliefs, jp1, jp2)
+        beliefs, jp2, _ = value_curves(scenario.table, grid)
+        return ["belief", "j_p1", "j_p2"], zip(beliefs, _full_information_line(scenario.table, beliefs), jp2)
     if which == 2:
-        beliefs, ja2 = agent_value_curve(scenario.table, grid)
+        beliefs, _, ja2 = value_curves(scenario.table, grid)
         return ["belief", "j_a2", "j_a2_envelope"], zip(beliefs, ja2, _hull_curve(beliefs, ja2))
     if which == 3:
         if not (0.0 < scenario.prior < 1.0):
             raise ScenarioError(f"{scenario.source}:1: figure 3 needs an interior prior")
-        beliefs, jp2 = principal_value_curve(scenario.table, grid)
-        href = np.array([tilde_entropy(b, scenario.prior) for b in beliefs])
-        objective = jp2 - scenario.kappa * href
+        beliefs, jp2, _ = value_curves(scenario.table, grid)
+        objective = jp2 - scenario.kappa * tilde_entropy(beliefs, scenario.prior)
         return (
             ["belief", "j_p2", "objective", "objective_envelope"],
             zip(beliefs, jp2, objective, _hull_curve(beliefs, objective)),
@@ -312,8 +313,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("scenario", nargs="?", help="scenario file or bundled name")
         else:
             p.add_argument("scenario", help="scenario file or bundled name")
-        p.add_argument("--grid", type=int, default=2001, metavar="N",
-                       help="belief grid size (default 2001)")
+        p.add_argument("--grid", type=int, default=None, metavar="N",
+                       help=f"matrix scenarios: belief grid size, or kappas of a kappa sweep "
+                            f"(default {BELIEF_GRID_POINTS}); qg sweeps: channel variances "
+                            f"(default {SIGMA_GRID_POINTS}) or kappas (default {QG_KAPPA_POINTS})")
         p.add_argument("--format", choices=("json", "csv"), default=None,
                        help="output format (default: json for reports, csv for series)")
         p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
@@ -352,8 +355,10 @@ def _dispatch(args) -> int:
     if args.command == "figure" and args.scenario is None:
         args.scenario = _FIGURE_DEFAULT[args.which]
     scenario = load_scenario(args.scenario)
-    if args.grid < 2:
+    if args.grid is not None and args.grid < 2:
         raise ScenarioError(f"{scenario.source}:1: --grid must be at least 2")
+    if args.grid is None and scenario.kind == "matrix":
+        args.grid = BELIEF_GRID_POINTS
 
     if args.command in ("g1", "g2", "g3", "g4"):
         doc = _jsonable(_solve(scenario, args.command, args.grid))

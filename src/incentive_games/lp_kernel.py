@@ -2,15 +2,18 @@
 
 Everything here is deliberately small-scale: the games this package solves
 never produce more than a dozen variables, so a two-phase tableau simplex
-with Bland's rule (deterministic, cycle-free) and combinatorial vertex
-enumeration are both exact enough and fast enough. Re-running any routine on
-the same input is bit-identical.
+with Bland's rule (deterministic, cycle-free in exact arithmetic) and
+combinatorial vertex enumeration are both exact enough and fast enough.
+Re-running any routine on the same input is bit-identical. Where either one
+cannot finish (a capped pivot count, a capped number of bases) it raises
+SolverError rather than reporting the input as invalid.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -19,6 +22,15 @@ import numpy as np
 FEAS_TOL = 1e-8          # constraint satisfaction tolerance
 DEDUPE_TOL = 1e-9        # L-inf distance under which two vertices are one
 _PIVOT_TOL = 1e-9        # reduced-cost / pivot element threshold
+# Pivots one simplex phase may take per row plus column of its tableau. The
+# solvers' LPs have finished within 1x wherever measured; Bland's rule rules
+# out cycling only in exact arithmetic, and a phase that cycles never ends.
+_PIVOTS_PER_LINE = 10
+
+
+class SolverError(RuntimeError):
+    """The solver could not answer a valid input: an internal invariant
+    failed or a capacity limit was hit (distinct from input validation)."""
 
 
 class LpStatus(Enum):
@@ -47,8 +59,21 @@ def _as_vector(b, rows: int, name: str) -> np.ndarray:
     return v
 
 
-def _default_bounds(d: int) -> list[tuple[float, float]]:
-    return [(0.0, np.inf)] * d
+def _set_constraints(obj, d: int) -> None:
+    """Validate and normalize, in place, the constraint fields that
+    LinearProgram and Polytope share, for `d` variables."""
+    a = _as_matrix(obj.constraint_matrix, d, "constraint_matrix")
+    e = _as_matrix(obj.equality_matrix, d, "equality_matrix")
+    bounds = list(obj.bounds) if obj.bounds is not None else [(0.0, np.inf)] * d
+    if len(bounds) != d:
+        raise ValueError(f"bounds must have length {d}")
+    if any(lo > hi for lo, hi in bounds):
+        raise ValueError("bound lower > upper")
+    object.__setattr__(obj, "constraint_matrix", a)
+    object.__setattr__(obj, "rhs", _as_vector(obj.rhs, a.shape[0], "rhs"))
+    object.__setattr__(obj, "equality_matrix", e)
+    object.__setattr__(obj, "equality_rhs", _as_vector(obj.equality_rhs, e.shape[0], "equality_rhs"))
+    object.__setattr__(obj, "bounds", tuple((float(lo), float(hi)) for lo, hi in bounds))
 
 
 @dataclass(frozen=True)
@@ -67,23 +92,8 @@ class LinearProgram:
         c = np.asarray(self.objective, dtype=float).reshape(-1)
         if not np.all(np.isfinite(c)):
             raise ValueError("objective must be finite")
-        d = c.shape[0]
-        a = _as_matrix(self.constraint_matrix, d, "constraint_matrix")
-        b = _as_vector(self.rhs, a.shape[0], "rhs")
-        e = _as_matrix(self.equality_matrix, d, "equality_matrix")
-        f = _as_vector(self.equality_rhs, e.shape[0], "equality_rhs")
-        bounds = list(self.bounds) if self.bounds is not None else _default_bounds(d)
-        if len(bounds) != d:
-            raise ValueError(f"bounds must have length {d}")
-        for lo, hi in bounds:
-            if lo > hi:
-                raise ValueError("bound lower > upper")
         object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "constraint_matrix", a)
-        object.__setattr__(self, "rhs", b)
-        object.__setattr__(self, "equality_matrix", e)
-        object.__setattr__(self, "equality_rhs", f)
-        object.__setattr__(self, "bounds", tuple((float(lo), float(hi)) for lo, hi in bounds))
+        _set_constraints(self, c.shape[0])
 
     @property
     def dim(self) -> int:
@@ -117,19 +127,8 @@ class Polytope:
         d = int(self.dim)
         if d <= 0:
             raise ValueError("dim must be positive")
-        a = _as_matrix(self.constraint_matrix, d, "constraint_matrix")
-        b = _as_vector(self.rhs, a.shape[0], "rhs")
-        e = _as_matrix(self.equality_matrix, d, "equality_matrix")
-        f = _as_vector(self.equality_rhs, e.shape[0], "equality_rhs")
-        bounds = list(self.bounds) if self.bounds is not None else _default_bounds(d)
-        if len(bounds) != d:
-            raise ValueError(f"bounds must have length {d}")
         object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "constraint_matrix", a)
-        object.__setattr__(self, "rhs", b)
-        object.__setattr__(self, "equality_matrix", e)
-        object.__setattr__(self, "equality_rhs", f)
-        object.__setattr__(self, "bounds", tuple((float(lo), float(hi)) for lo, hi in bounds))
+        _set_constraints(self, d)
 
     def lp(self, objective) -> LinearProgram:
         return LinearProgram(
@@ -163,11 +162,10 @@ def _to_standard_form(lp: LinearProgram):
     """Rewrite as min c'y s.t. A y <= b, E y = f, y >= 0.
 
     Shifts finite lower bounds, mirrors upper-bounded-only variables, splits
-    free variables. Returns (c, A, b, E, f, recover, offset) where
-    recover(y) maps standard-form points back to original coordinates.
+    free variables. Returns (c, A, b, E, f, recover) where recover(y) maps
+    standard-form points back to original coordinates.
     """
     d = lp.dim
-    cols: list[np.ndarray] = []   # column of each standard variable in original terms
     shift = np.zeros(d)
     extra_rows: list[np.ndarray] = []
     extra_rhs: list[float] = []
@@ -204,22 +202,24 @@ def _to_standard_form(lp: LinearProgram):
     E = lp.equality_matrix @ T
     f = lp.equality_rhs - lp.equality_matrix @ shift
     c = lp.objective @ T
-    offset = float(lp.objective @ shift)
 
     def recover(y: np.ndarray) -> np.ndarray:
         return shift + T @ y
 
-    return c, A, b, E, f, recover, offset
+    return c, A, b, E, f, recover
 
 
 def _bland_simplex(tableau: np.ndarray, basis: np.ndarray, n_vars: int):
     """Phase core: minimize the objective row in-place with Bland's rule.
 
     tableau rows: constraints then objective (last row); columns: variables
-    then rhs (last column). Returns "optimal" or "unbounded".
+    then rhs (last column). Returns "optimal" or "unbounded"; raises
+    SolverError when the phase needs more than _PIVOTS_PER_LINE pivots per
+    tableau row plus column.
     """
     m = tableau.shape[0] - 1
-    while True:
+    max_pivots = _PIVOTS_PER_LINE * sum(tableau.shape)
+    for pivots in itertools.count():
         red = tableau[-1, :n_vars]
         entering = -1
         for j in range(n_vars):         # Bland: smallest index with negative reduced cost
@@ -228,13 +228,18 @@ def _bland_simplex(tableau: np.ndarray, basis: np.ndarray, n_vars: int):
                 break
         if entering < 0:
             return "optimal"
+        if pivots == max_pivots:
+            raise SolverError(
+                f"simplex phase did not finish within {max_pivots} pivots "
+                f"on a {m}-row tableau (floating-point cycling)"
+            )
         col = tableau[:m, entering]
         rhs = tableau[:m, -1]
         leave = -1
         best = np.inf
         for i in range(m):
             if col[i] > _PIVOT_TOL:
-                ratio = rhs[i] / col[i]
+                ratio = max(rhs[i], 0.0) / col[i]   # round-off below 0 is degenerate, not a step back
                 if ratio < best - 1e-12 or (
                     abs(ratio - best) <= 1e-12 and (leave < 0 or basis[i] < basis[leave])
                 ):
@@ -252,7 +257,7 @@ def _bland_simplex(tableau: np.ndarray, basis: np.ndarray, n_vars: int):
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Two-phase dense simplex (Bland's rule). Deterministic; minimization."""
-    c, A, b, E, f, recover, _ = _to_standard_form(lp)
+    c, A, b, E, f, recover = _to_standard_form(lp)
     n = c.shape[0]
     m = A.shape[0] + E.shape[0]
     if m == 0:
@@ -417,7 +422,9 @@ def enumerate_vertices(p: Polytope) -> list[np.ndarray]:
 
     Combinatorial active-set enumeration: every choice of dim - rank(eq)
     inequalities, made tight together with the equalities, is solved as a
-    square system and kept if feasible. Unbounded input raises ValueError.
+    square system and kept if feasible. Unbounded input raises ValueError;
+    more than _MAX_BASES candidate bases raise SolverError before any is
+    built.
     """
     d = p.dim
     # boundedness pre-check via coordinate LPs
@@ -441,25 +448,23 @@ def enumerate_vertices(p: Polytope) -> list[np.ndarray]:
     if k > n_ineq:
         return []
 
-    combos = list(itertools.combinations(range(n_ineq), k))
-    if len(combos) > _MAX_BASES:
-        raise ValueError(
-            f"vertex enumeration would examine {len(combos)} bases; "
+    n_bases = math.comb(n_ineq, k)
+    if n_bases > _MAX_BASES:
+        raise SolverError(
+            f"vertex enumeration would examine {n_bases} bases (limit {_MAX_BASES}); "
             "polytope too large for combinatorial enumeration"
         )
 
     # batched square solves: stack candidate systems, filter singular ones
-    mats = np.empty((len(combos), d, d))
-    rhss = np.empty((len(combos), d))
-    for t, combo in enumerate(combos):
+    mats = np.empty((n_bases, d, d))
+    rhss = np.empty((n_bases, d))
+    for t, combo in enumerate(itertools.combinations(range(n_ineq), k)):
         if n_eq:
             mats[t, :n_eq] = E
             rhss[t, :n_eq] = f
         if k:
             mats[t, n_eq:] = G[list(combo)]
             rhss[t, n_eq:] = h[list(combo)]
-    if not len(combos):
-        return []
     with np.errstate(all="ignore"):
         dets = np.linalg.det(mats)
     ok = np.abs(dets) > 1e-12 * np.maximum(1.0, np.max(np.abs(mats), axis=(1, 2)) ** d)

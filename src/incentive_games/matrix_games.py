@@ -35,16 +35,13 @@ from incentive_games.belief_engine import (
 from incentive_games.lp_kernel import (
     LinearProgram,
     Polytope,
+    SolverError,
     enumerate_vertices,
     lexicographic_argmin,
     solve_lp,
 )
 
 BEST_RESPONSE_TOL = 1e-8
-
-
-class SolverError(RuntimeError):
-    """An internal solver invariant failed (distinct from input validation)."""
 
 
 # ---------------------------------------------------------------------------
@@ -417,21 +414,26 @@ def _curves_from_profiles(
     return jp2, ja2
 
 
-def principal_value_curve(table: CostTable, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled belief -> g2 principal value. Piecewise affine and concave."""
+def value_curves(table: CostTable, grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A uniform belief grid of `grid_size` points with, at each belief, the
+    g2 principal value (piecewise affine and concave in the belief) and the
+    agent cost at the principal's chosen scheme."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     beliefs = np.linspace(0.0, 1.0, grid_size)
-    jp2, _ = _curves_from_profiles(_pair_profiles(table), beliefs)
+    jp2, ja2 = _curves_from_profiles(_pair_profiles(table), beliefs)
+    return beliefs, jp2, ja2
+
+
+def principal_value_curve(table: CostTable, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled belief -> g2 principal value. Piecewise affine and concave."""
+    beliefs, jp2, _ = value_curves(table, grid_size)
     return beliefs, jp2
 
 
 def agent_value_curve(table: CostTable, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Sampled belief -> g2 agent cost at the principal's chosen scheme."""
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
-    beliefs = np.linspace(0.0, 1.0, grid_size)
-    _, ja2 = _curves_from_profiles(_pair_profiles(table), beliefs)
+    beliefs, _, ja2 = value_curves(table, grid_size)
     return beliefs, ja2
 
 
@@ -448,22 +450,20 @@ class XiEntry:
 
 @dataclass(frozen=True)
 class XiCollection:
-    """Vertices of every response-pair polytope, grouped by pair, plus a
-    deduplicated view that keeps group membership."""
+    """Vertices of every response-pair polytope, grouped by pair (a pair
+    whose polytope is empty maps to ()), plus a deduplicated view that keeps
+    group membership."""
 
     groups: dict[tuple[int, int], tuple[np.ndarray, ...]]
     unique: tuple[XiEntry, ...]
 
 
 def collect_xi(table: CostTable) -> XiCollection:
-    groups: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
-    for i in range(table.n):
-        for j in range(table.n):
-            verts = enumerate_vertices(_pair_polytope(table, i, j))
-            mats = sorted(
-                (_to_matrix(v, table.m, table.n) for v in verts), key=_scheme_key
-            )
-            groups[(i, j)] = tuple(mats)
+    """The cached pair-profile vertices as schemes, each group sorted by
+    _scheme_key of the scheme matrix."""
+    groups = {(i, j): () for i in range(table.n) for j in range(table.n)}
+    for prof in _pair_profiles(table):
+        groups[prof.group] = tuple(sorted(prof.schemes, key=_scheme_key))
     seen: dict[tuple, list[tuple[int, int]]] = {}
     order: list[tuple] = []
     reps: dict[tuple, np.ndarray] = {}
@@ -700,7 +700,9 @@ def solve_g3(table: CostTable, prior) -> PersuasionReport:
 
 def solve_g4(table: CostTable, prior, kappa: float, grid_size: int = 2001) -> AcquisitionReport:
     """Grid concavification of the g2 value net of the entropy-reduction
-    channel cost; the supporting split is the principal's optimal acquisition."""
+    channel cost; the supporting split is the principal's optimal acquisition.
+    Gross and agent costs are the g2 curves averaged over the split's atoms,
+    so both come from the same g2 choice at each atom."""
     mu = as_probability(prior)
     if not (0.0 < mu < 1.0):
         raise ValueError("acquisition needs an interior prior; degenerate beliefs are a g2 problem")
@@ -710,22 +712,20 @@ def solve_g4(table: CostTable, prior, kappa: float, grid_size: int = 2001) -> Ac
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
 
-    beliefs, jp2 = principal_value_curve(table, grid_size)
-    htilde = np.array([tilde_entropy(b, mu) for b in beliefs])
-    g = jp2 - kappa * htilde
-    value, atoms = envelope_from_samples(beliefs, g, mu)
-
+    beliefs, jp2, ja2 = value_curves(table, grid_size)
+    htilde = tilde_entropy(beliefs, mu)
+    value, atoms = envelope_from_samples(beliefs, jp2 - kappa * htilde, mu)
     idx = [int(round(p * (grid_size - 1))) for p, _ in atoms]
-    gross = sum(w * float(jp2[t]) for (_, w), t in zip(atoms, idx))
-    channel = kappa * (1.0 - sum(w * float(htilde[t]) for (_, w), t in zip(atoms, idx)))
-    total = float(value + kappa)
-    agent = sum(w * solve_g2(table, p).agent_cost for p, w in atoms)
+
+    def expected(curve: np.ndarray) -> float:
+        return sum(w * float(curve[t]) for (_, w), t in zip(atoms, idx))
+
     return AcquisitionReport(
         split=PosteriorSplit(atoms),
-        gross_cost=float(gross),
-        channel_cost=float(channel),
-        total_cost=total,
-        agent_cost=float(agent),
+        gross_cost=expected(jp2),
+        channel_cost=kappa * (1.0 - expected(htilde)),
+        total_cost=float(value + kappa),
+        agent_cost=expected(ja2),
         kappa=kappa,
         prior=mu,
         grid_size=grid_size,

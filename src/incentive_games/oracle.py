@@ -25,11 +25,10 @@ from incentive_games.belief_engine import (
 from incentive_games.lp_kernel import Polytope, enumerate_vertices
 from incentive_games.matrix_games import (
     CostTable,
-    agent_value_curve,
-    principal_value_curve,
     solve_g2,
     solve_g3,
     solve_g4,
+    value_curves,
 )
 from incentive_games.qg_games import (
     QGParams,
@@ -152,7 +151,7 @@ def verify_matrix(table: CostTable, prior, grid_size: int = 2001, kappa: float |
             )
         )
 
-    xs, ja = agent_value_curve(table, grid_size)
+    xs, jp, ja = value_curves(table, grid_size)
     hull = lower_convex_envelope(ja, mu, grid_size=grid_size)
     reports.append(
         OracleReport(
@@ -173,8 +172,7 @@ def verify_matrix(table: CostTable, prior, grid_size: int = 2001, kappa: float |
             )
         )
         if kappa is not None and kappa >= 0.0:
-            _, jp = principal_value_curve(table, grid_size)
-            net = jp - kappa * np.array([tilde_entropy(x, mu) for x in xs])
+            net = jp - kappa * tilde_entropy(xs, mu)
             reports.append(
                 OracleReport(
                     quantity=f"acquisition total at kappa={kappa:g}",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -116,14 +116,15 @@ def _qg_scenario(doc: dict, source: str, text: str) -> Scenario:
         )
     except ValueError as exc:
         _fail(source, text, "beta", str(exc))
-    return Scenario(
-        kind="qg",
-        source=source,
-        params=params,
-        kappa=kappa,
-        beta_grid=_number_list(doc, source, text, "beta_grid"),
-        kappa_grid=_number_list(doc, source, text, "kappa_grid"),
-    )
+    grids = {}
+    for key, field in (("beta_grid", "beta"), ("kappa_grid", "kappa")):
+        grids[key] = _number_list(doc, source, text, key)
+        for value in grids[key]:
+            try:
+                replace(params, **{field: value})
+            except ValueError as exc:
+                _fail(source, text, key, str(exc))
+    return Scenario(kind="qg", source=source, params=params, kappa=kappa, **grids)
 
 
 def load_scenario(source: str) -> Scenario:

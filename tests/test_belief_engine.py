@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from incentive_games.belief_engine import (
-    Belief,
     PosteriorSplit,
-    SignalingScheme,
-    bayes_posterior,
+    as_probability,
     binary_entropy,
-    induced_split,
     lower_convex_envelope,
     reference_transform,
     tilde_entropy,
@@ -23,58 +20,6 @@ def assert_atoms(atoms, expected, tol=1e-9):
     assert len(atoms) == len(expected), f"{atoms} vs {expected}"
     for (p, w), (pe, we) in zip(atoms, expected):
         assert abs(p - pe) <= tol and abs(w - we) <= tol, f"{atoms} vs {expected}"
-
-
-def test_belief_validation():
-    assert float(Belief(0.3)) == 0.3
-    assert Belief(1.0).degenerate
-    assert Belief(0.5).interior
-    with pytest.raises(ValueError):
-        Belief(1.2)
-    with pytest.raises(ValueError):
-        Belief(-0.1)
-
-
-def test_bayes_posterior_fully_revealing():
-    scheme = SignalingScheme.fully_revealing()
-    assert float(bayes_posterior(0.5, scheme, 0)) == pytest.approx(1.0)
-    assert float(bayes_posterior(0.5, scheme, 1)) == pytest.approx(0.0)
-
-
-def test_bayes_posterior_uninformative():
-    scheme = SignalingScheme(np.array([[0.5, 0.5], [0.5, 0.5]]))
-    assert float(bayes_posterior(0.4, scheme, 0)) == pytest.approx(0.4)
-
-
-def test_bayes_posterior_zero_probability_signal():
-    scheme = SignalingScheme.fully_revealing()
-    with pytest.raises(ValueError, match="zero probability"):
-        bayes_posterior(1.0, scheme, 1)
-
-
-def test_induced_split_examples():
-    assert induced_split(0.4, SignalingScheme.uninformative()).atoms == ((0.4, 1.0),)
-
-    split = induced_split(0.4, SignalingScheme.fully_revealing())
-    assert_atoms(split.atoms, ((1.0, 0.4), (0.0, 0.6)))
-
-    split = induced_split(0.75, SignalingScheme.fully_revealing())
-    assert_atoms(split.atoms, ((1.0, 0.75), (0.0, 0.25)))
-
-    scheme = SignalingScheme(np.array([[0.8, 0.2], [0.2, 0.8]]))
-    split = induced_split(0.5, scheme)
-    assert_atoms(split.atoms, ((0.8, 0.5), (0.2, 0.5)))
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(interior, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(2, 5))
-def test_bayes_plausibility_property(prior, a, b, n):
-    # random two-signal-or-more scheme built from two mixing knobs
-    rng = np.random.default_rng(int(a * 1e6) * 7919 + int(b * 1e6) + n)
-    lk = rng.uniform(0.0, 1.0, size=(n, 2)) + 1e-12
-    lk /= lk.sum(axis=0, keepdims=True)
-    split = induced_split(prior, SignalingScheme(lk))
-    assert abs(split.mean() - prior) <= 1e-12
 
 
 def test_split_validation():
@@ -118,6 +63,36 @@ def test_tilde_entropy_values():
     # fixed derived value: binary_entropy(29/42), cross-checked against
     # log2(42) - (29 log2 29 + 13 log2 13)/42
     assert tilde_entropy(0.87, 0.75) == pytest.approx(0.8926230133850986, abs=1e-12)
+
+
+def _tilde_entropy_loop(posteriors, prior):
+    """Scalar reference: the reference transform and binary entropy written
+    out per element with the math module."""
+    out = []
+    for p in posteriors:
+        num = p / prior
+        x = num / (num + (1.0 - p) / (1.0 - prior))
+        out.append(0.0 if x <= 0.0 or x >= 1.0 else -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("prior", [0.4, 0.75, 1e-3, 0.999])
+def test_tilde_entropy_on_a_grid_matches_the_scalar_loop(prior):
+    grid = np.linspace(0.0, 1.0, 2001)
+    vectorised = tilde_entropy(grid, prior)
+    assert vectorised.shape == grid.shape
+    # np.log2 and math.log2 may round differently; a few ulps of 1.0 at most
+    assert np.max(np.abs(vectorised - _tilde_entropy_loop(grid, prior))) <= 4 * np.finfo(float).eps
+    assert vectorised[0] == 0.0 and vectorised[-1] == 0.0
+    assert [tilde_entropy(float(b), prior) for b in grid[::250]] == list(vectorised[::250])
+
+
+def test_array_beliefs_are_validated():
+    assert np.array_equal(as_probability([0.0, -1e-13, 1.0 + 1e-13]), [0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="got 1.5"):
+        tilde_entropy(np.array([0.2, 1.5]), 0.5)
+    with pytest.raises(ValueError, match="interior"):
+        tilde_entropy(np.array([0.2, 0.5]), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,44 @@ def test_scenario_errors_carry_file_and_line(tmp_path, capsys):
     assert "prior" in err
 
 
+def test_beta_grid_errors_carry_file_and_line(tmp_path, capsys):
+    path = tmp_path / "bad_qg.json"
+    path.write_text(
+        '{\n  "kind": "qg",\n  "beta": 1.0,\n  "z0": 1.0,\n  "sigma0_sq": 4.0,\n'
+        '  "beta_grid": [-1.0],\n  "kappa_grid": [1.0]\n}\n'
+    )
+    assert run("figure", "4", str(path)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:6: beta must be")
+    path.write_text(path.read_text().replace("[-1.0]", "[1.0]").replace('"kappa_grid": [1.0]', '"kappa_grid": [1.0, -2.0]'))
+    assert run("figure", "4", str(path)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:7: kappa must be")
+
+
+def test_capacity_limit_is_a_solver_error(tmp_path, capsys):
+    # every 4x4 response-pair polytope has C(22, 12) = 646646 candidate bases
+    rng = np.random.default_rng(4)
+    doc = {
+        "kind": "matrix",
+        "cp": rng.integers(0, 6, (2, 4, 4)).tolist(),
+        "ca": rng.integers(0, 6, (2, 4, 4)).tolist(),
+        "prior": 0.5,
+    }
+    path = tmp_path / "four_by_four.json"
+    path.write_text(json.dumps(doc))
+    assert run("g3", str(path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:")
+    assert "646646 bases" in err
+
+
+def test_explicit_grid_sets_qg_sweep_length(capsys):
+    # the qg defaults (200 variances, 41 kappas) apply only without --grid
+    header, rows = run_csv(capsys, "sweep", "qg_fig4", "--grid", "2001")
+    assert len(rows) == 2001
+    header, rows = run_csv(capsys, "sweep", "qg_fig4", "--over", "kappa", "--grid", "2001")
+    assert len(rows) == 2001
+
+
 def test_bad_grid_exits_2(capsys):
     assert run("sweep", "scenarioA", "--grid", "1") == 2
     assert "--grid" in capsys.readouterr().err

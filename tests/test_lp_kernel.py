@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from incentive_games import lp_kernel
 from incentive_games.lp_kernel import (
     LinearProgram,
     LpStatus,
     Polytope,
+    SolverError,
     enumerate_vertices,
     lexicographic_argmin,
     solve_lp,
@@ -123,6 +125,25 @@ def test_solution_feasibility_invariant():
             assert sol.value == pytest.approx(float(lp.objective @ x), rel=1e-9, abs=1e-12)
 
 
+def test_pivot_cap_raises_solver_error(monkeypatch):
+    lp = LinearProgram(objective=[-1.0, -1.0], constraint_matrix=[[1.0, 2.0], [3.0, 1.0]], rhs=[4.0, 6.0])
+    assert solve_lp(lp).value == pytest.approx(-2.8)
+    monkeypatch.setattr(lp_kernel, "_PIVOTS_PER_LINE", 0)
+    with pytest.raises(SolverError, match="pivots"):
+        solve_lp(lp)
+
+
+def test_enumeration_capacity_is_checked_before_building_bases(monkeypatch):
+    # C(6, 3) = 20 candidate bases for the 3-cube
+    cube = Polytope(dim=3, bounds=[(0.0, 1.0)] * 3)
+    assert len(enumerate_vertices(cube)) == 8
+    monkeypatch.setattr(lp_kernel, "_MAX_BASES", 19)
+    with pytest.raises(SolverError, match="20 bases"):
+        enumerate_vertices(cube)
+    empty = Polytope(dim=3, bounds=[(0.0, 1.0)] * 3, constraint_matrix=[[1.0, 1.0, 1.0]], rhs=[-1.0])
+    assert enumerate_vertices(empty) == []
+
+
 def test_unit_simplex_vertices():
     p = Polytope(dim=2, equality_matrix=[[1.0, 1.0]], equality_rhs=[1.0])
     vs = sorted(tuple(np.round(v, 9)) for v in enumerate_vertices(p))
@@ -232,3 +253,5 @@ def test_dimension_mismatch_rejected():
         LinearProgram(objective=[1.0], constraint_matrix=[[1.0]], rhs=[1.0, 2.0])
     with pytest.raises(ValueError):
         LinearProgram(objective=[1.0], bounds=[(1.0, 0.0)])
+    with pytest.raises(ValueError, match="lower > upper"):
+        Polytope(dim=1, bounds=[(1.0, 0.0)])

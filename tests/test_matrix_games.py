@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from incentive_games import lp_kernel
 from incentive_games.belief_engine import envelope_from_samples
 from incentive_games.lp_kernel import Polytope, enumerate_vertices
 from incentive_games.matrix_games import (
     CostTable,
     IncentiveScheme,
+    _pair_polytope,
+    _scheme_key,
+    _to_matrix,
     agent_value_curve,
     collect_xi,
     principal_value_curve,
@@ -14,6 +18,7 @@ from incentive_games.matrix_games import (
     solve_g2,
     solve_g3,
     solve_g4,
+    value_curves,
 )
 
 # ---------------------------------------------------------------------------
@@ -238,8 +243,9 @@ def test_principal_curve_anchors_a(table_a):
 
 def test_curves_match_direct_solves(table_a, table_b):
     for table in (table_a, table_b):
-        xs, jp = principal_value_curve(table, 201)
-        _, ja = agent_value_curve(table, 201)
+        xs, jp, ja = value_curves(table, 201)
+        assert np.array_equal(jp, principal_value_curve(table, 201)[1])
+        assert np.array_equal(ja, agent_value_curve(table, 201)[1])
         for t in np.random.default_rng(3).choice(201, size=9, replace=False):
             r = solve_g2(table, xs[t])
             assert jp[t] == pytest.approx(r.principal_cost, abs=1e-9)
@@ -290,6 +296,21 @@ def test_collect_xi_dominant_column_empties_other_groups():
     assert not xi.groups[(0, 0)]
     assert not xi.groups[(0, 1)]
     assert not xi.groups[(1, 0)]
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.one_of(_tables(2), _tables(3)))
+def test_collect_xi_matches_direct_enumeration(table):
+    # reference: enumerate every pair polytope afresh. Distinct vertices may
+    # share a _scheme_key (it rounds to 9 decimals); their relative order is
+    # not specified, so compare the key sequence and the exact vertex sets.
+    xi = collect_xi(table)
+    assert list(xi.groups) == [(i, j) for i in range(table.n) for j in range(table.n)]
+    for (i, j), mats in xi.groups.items():
+        verts = enumerate_vertices(_pair_polytope(table, i, j))
+        want = sorted((_to_matrix(v, table.m, table.n) for v in verts), key=_scheme_key)
+        assert [_scheme_key(g) for g in mats] == [_scheme_key(g) for g in want]
+        assert sorted(g.tobytes() for g in mats) == sorted(g.tobytes() for g in want)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -374,6 +395,39 @@ def test_g3_properties_random(table, prior):
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
+# A real-valued 4x2 table on which phase one of the tie-break LP once took
+# ratios from rows whose rhs had drifted below zero, lost feasibility and
+# ran for more than 60,000 pivots without finishing.
+DRIFTING_TABLE = CostTable(
+    cp=(
+        [[0.6201241443999006, 4.715110558328109], [3.611635045302301, 1.5230916091164626],
+         [0.5611386911264649, 2.2435713704130507], [0.7291625707233412, 4.374484844333637]],
+        [[1.4705614832815832, 3.911847545706495], [2.9893382976932252, 4.274965606046025],
+         [2.6441503238645008, 0.4912024427507383], [1.346223297640658, 1.9255881538113617]],
+    ),
+    ca=(
+        [[0.9292197582920753, 3.042136491106293], [4.48159425416023, 1.9293698437412132],
+         [1.9241453779122826, 0.8467852962023231], [3.5615816176392268, 0.7299787896578114]],
+        [[0.4723884519261934, 4.303112048733283], [1.6404617758998237, 2.7468508953718778],
+         [0.4005539087496851, 3.3890548153133304], [4.927172932614841, 0.08359857867067944]],
+    ),
+)
+
+
+def test_g3_solves_where_phase_one_drifted(monkeypatch):
+    # the default pivot cap would stop a run like the old one after ~5,000
+    # pivots; a cap of 2 per tableau line shows it now finishes well inside
+    monkeypatch.setattr(lp_kernel, "_PIVOTS_PER_LINE", 2)
+    prior = 0.629498698921407
+    r = solve_g3(DRIFTING_TABLE, prior)
+    g2 = solve_g2(DRIFTING_TABLE, prior)
+    assert r.split.is_plausible(prior, tol=1e-9)
+    assert r.agent_cost <= g2.agent_cost + 1e-9
+    xs, ja = agent_value_curve(DRIFTING_TABLE, 2001)
+    envelope, _ = envelope_from_samples(xs, ja, prior)
+    assert r.agent_cost == pytest.approx(envelope, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # g4: costly acquisition
 # ---------------------------------------------------------------------------
@@ -419,6 +473,22 @@ def test_g4_never_beats_free_information(table_a):
         r = solve_g4(table_a, 0.4, kappa)
         assert r.gross_cost >= solve_g1(table_a, 0.4).principal_cost - 1e-8
         assert r.total_cost <= solve_g2(table_a, 0.4).principal_cost + kappa * 1e-12 + 1e-8
+
+
+def test_g4_agent_cost_follows_the_g2_curve_at_ties():
+    # At belief 1 the principal's best schemes tie across response pairs.
+    # The curve's tie rule picks agent cost 3 there (4 at belief 0), so the
+    # fully revealing split costs the agent 3.5; the LP-based solve_g2 picks
+    # agent cost 5 at belief 1 instead.
+    table = CostTable(
+        cp=([[1, 5], [2, 1]], [[1, 0], [2, 0]]),
+        ca=([[3, 5], [5, 5]], [[1, 1], [4, 5]]),
+    )
+    r = solve_g4(table, 0.5, 0.0, grid_size=401)
+    assert r.split.atoms == ((0.0, 0.5), (1.0, 0.5))
+    _, ja = agent_value_curve(table, 401)
+    assert r.agent_cost == pytest.approx(0.5 * ja[0] + 0.5 * ja[-1], abs=1e-12)
+    assert r.agent_cost == pytest.approx(3.5, abs=1e-12)
 
 
 def test_g4_input_validation(table_b):
