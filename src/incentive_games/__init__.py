@@ -14,10 +14,8 @@ every analytic result at desk scale.
 """
 
 from incentive_games.belief_engine import (
-    EnvelopeResult,
     PosteriorSplit,
     envelope_from_samples,
-    lower_convex_envelope,
     lower_hull_indices,
     tilde_entropy,
 )
@@ -50,6 +48,7 @@ from incentive_games.oracle import (
     OracleReport,
     oracle_envelope_by_pairs,
     oracle_g2_by_enumeration,
+    oracle_g3_by_obedience,
     oracle_qg_montecarlo,
     verify_matrix,
     verify_qg,
@@ -69,7 +68,6 @@ from incentive_games.scenarios import Scenario, ScenarioError, load_scenario
 __all__ = [
     "AcquisitionReport",
     "CostTable",
-    "EnvelopeResult",
     "EquilibriumReport",
     "IncentiveScheme",
     "LinearProgram",
@@ -90,10 +88,10 @@ __all__ = [
     "enumerate_vertices",
     "envelope_from_samples",
     "lexicographic_argmin",
-    "lower_convex_envelope",
     "lower_hull_indices",
     "oracle_envelope_by_pairs",
     "oracle_g2_by_enumeration",
+    "oracle_g3_by_obedience",
     "oracle_qg_montecarlo",
     "principal_value_curve",
     "qg_g1",

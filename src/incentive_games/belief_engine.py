@@ -2,14 +2,13 @@
 
 Binary entropy with the uniform belief normalized to 1, the reference-prior
 transform used by the channel-cost machinery, Bayes-plausible posterior
-splits, and grid-based lower convex envelopes (bi-conjugates) of functions
-on [0, 1].
+splits, and lower convex envelopes (bi-conjugates) of sampled functions on
+[0, 1].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,26 +49,6 @@ class PosteriorSplit:
 
     def is_plausible(self, prior, tol: float = 1e-9) -> bool:
         return abs(self.mean() - as_probability(prior)) <= tol
-
-    def consolidated(self, tol: float = 1e-9) -> "PosteriorSplit":
-        """Merge atoms whose posteriors coincide within tol; sort ascending."""
-        merged: list[list[float]] = []
-        for p, w in sorted(self.atoms):
-            if merged and abs(p - merged[-1][0]) <= tol:
-                pm, wm = merged[-1]
-                merged[-1] = [(pm * wm + p * w) / (wm + w), wm + w]
-            else:
-                merged.append([p, w])
-        return PosteriorSplit(tuple((p, w) for p, w in merged))
-
-
-@dataclass(frozen=True)
-class EnvelopeResult:
-    """Lower convex envelope value at a query belief and its supporting split."""
-
-    value: float
-    split: PosteriorSplit
-    grid_size: int
 
 
 def binary_entropy(b):
@@ -162,29 +141,3 @@ def envelope_from_samples(xs, ys, query: float) -> tuple[float, tuple[tuple[floa
         return yr, ((xr, 1.0),)
     value = yl + wr * (yr - yl)
     return value, ((xl, 1.0 - wr), (xr, wr))
-
-
-def lower_convex_envelope(
-    f: Callable[[float], float] | Sequence[float],
-    query,
-    grid_size: int = 2001,
-) -> EnvelopeResult:
-    """Evaluate the lower convex envelope (bi-conjugate) of f over [0, 1].
-
-    f is sampled on a uniform grid of `grid_size` points (or may already be a
-    sequence of sampled values of that length). The supporting split contains
-    the one or two hull vertices whose chord realizes the envelope at the
-    query belief, with Bayes-plausible weights.
-    """
-    if grid_size < 3:
-        raise ValueError("grid_size must be at least 3")
-    xs = np.linspace(0.0, 1.0, grid_size)
-    if callable(f):
-        ys = np.array([float(f(float(x))) for x in xs])
-    else:
-        ys = np.asarray(f, dtype=float)
-        if ys.shape != xs.shape:
-            raise ValueError(f"sampled values must have length {grid_size}")
-    q = as_probability(query)
-    value, atoms = envelope_from_samples(xs, ys, q)
-    return EnvelopeResult(value=value, split=PosteriorSplit(atoms), grid_size=grid_size)

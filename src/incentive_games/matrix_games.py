@@ -7,8 +7,9 @@ Four information regimes over the same cost data:
 - g2: the principal knows only a belief over the two states and commits to a
   single state-independent scheme (Bayesian asymmetry).
 - g3: before playing g2, the agent commits to a signaling scheme about the
-  state; solved as an obedience-constrained recommendation LP over the
-  vertices of the g2 feasible polytopes (persuasion).
+  state; solved exactly as the lower convex hull of the agent's least cost
+  among principal-optimal vertices, sampled at the breakpoints of the g2
+  principal value (persuasion).
 - g4: the principal buys information, paying kappa times the induced entropy
   reduction; solved by grid concavification of the g2 value net of the
   channel cost (costly acquisition).
@@ -486,127 +487,6 @@ def collect_xi(table: CostTable) -> XiCollection:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Rec:
-    group: tuple[int, int]
-    scheme: np.ndarray
-    principal: tuple[float, float]
-    agent: tuple[float, float]
-
-
-def _recommendations(table: CostTable) -> list[_Rec]:
-    recs = []
-    for prof in _pair_profiles(table):
-        for g, p, a in zip(prof.schemes, prof.principal, prof.agent):
-            recs.append(_Rec(prof.group, g, (float(p[0]), float(p[1])), (float(a[0]), float(a[1]))))
-    return recs
-
-
-def _pareto_minimal(points: list[tuple[float, float]]) -> list[int]:
-    """Indices of profiles not strictly improved upon componentwise."""
-    idx = []
-    for i, (x, y) in enumerate(points):
-        dominated = False
-        for j, (u, v) in enumerate(points):
-            if j == i:
-                continue
-            if u <= x and v <= y and (u < x - 1e-12 or v < y - 1e-12):
-                dominated = True
-                break
-            if u == x and v == y and j < i:
-                dominated = True               # exact duplicate: keep first only
-                break
-        if not dominated:
-            idx.append(i)
-    return idx
-
-
-def _persuasion_lp(recs: list[_Rec], mu: float):
-    """Reduced obedience LP. Returns (variables, lp, principal objective).
-
-    Soundness of the reductions: a recommendation variable pi(r | state k) is
-    forced to zero by the single obedience row against any deviation whose
-    principal profile weakly dominates r's with a strict gap in state k (all
-    row terms are nonnegative, so each must vanish); and an obedience row
-    against a dominated deviation is implied by the dominating one. The full
-    unreduced system is re-checked after solving.
-    """
-    pprofiles = [r.principal for r in recs]
-    weights = (mu, 1.0 - mu)
-
-    alive: list[tuple[int, int]] = []      # (rec index, state)
-    for ri, r in enumerate(recs):
-        for k in range(2):
-            forced = False
-            for d in recs:
-                if (
-                    d.principal[0] <= r.principal[0]
-                    and d.principal[1] <= r.principal[1]
-                    and d.principal[k] < r.principal[k] - 1e-9
-                ):
-                    forced = True
-                    break
-            if not forced:
-                alive.append((ri, k))
-    col_of = {key: t for t, key in enumerate(alive)}
-    nv = len(alive)
-
-    dev_idx = _pareto_minimal(pprofiles)
-    rows = []
-    alive_recs = sorted({ri for ri, _ in alive})
-    for ri in alive_recs:
-        r = recs[ri]
-        for di in dev_idx:
-            if di == ri:
-                continue
-            d = recs[di]
-            row = np.zeros(nv)
-            nonzero = False
-            positive = False
-            for k in range(2):
-                key = (ri, k)
-                if key in col_of:
-                    coef = weights[k] * (r.principal[k] - d.principal[k])
-                    row[col_of[key]] = coef
-                    nonzero = nonzero or coef != 0.0
-                    positive = positive or coef > 0.0
-            if nonzero and positive:
-                rows.append(row)
-
-    eq = np.zeros((2, nv))
-    for (ri, k), t in col_of.items():
-        eq[k, t] = 1.0
-    agent_obj = np.array([weights[k] * recs[ri].agent[k] for ri, k in alive])
-    principal_obj = np.array([weights[k] * recs[ri].principal[k] for ri, k in alive])
-
-    lp = LinearProgram(
-        objective=agent_obj,
-        constraint_matrix=np.vstack(rows) if rows else None,
-        rhs=np.zeros(len(rows)) if rows else None,
-        equality_matrix=eq,
-        equality_rhs=np.ones(2),
-    )
-    return alive, lp, principal_obj
-
-
-def _verify_obedience(recs: list[_Rec], mu: float, pi: np.ndarray, tol: float = 1e-8):
-    """Check the full unreduced obedience system: for every recommendation r
-    and every deviation d, switching must not profit the principal."""
-    weights = (mu, 1.0 - mu)
-    for ri, r in enumerate(recs):
-        mass = pi[ri, 0] * weights[0] + pi[ri, 1] * weights[1]
-        if mass <= 1e-12:
-            continue
-        base = pi[ri, 0] * weights[0] * r.principal[0] + pi[ri, 1] * weights[1] * r.principal[1]
-        for d in recs:
-            alt = pi[ri, 0] * weights[0] * d.principal[0] + pi[ri, 1] * weights[1] * d.principal[1]
-            if base > alt + tol:
-                raise SolverError("obedience violated in persuasion solution")
-    for k in range(2):
-        if abs(pi[:, k].sum() - 1.0) > tol:
-            raise SolverError("recommendation conditionals do not normalize")
-
-
 def _uninformative_report(g2: EquilibriumReport, prior: float) -> PersuasionReport:
     rec = RecommendedScheme(
         group=g2.agent_actions,
@@ -623,72 +503,96 @@ def _uninformative_report(g2: EquilibriumReport, prior: float) -> PersuasionRepo
     )
 
 
+# Principal ties in g3 are resolved at the simplex's reduced-cost tolerance, so
+# the vertex that solve_g2's LPs stop at is principal-optimal here as well.
+_OPTIMAL_TOL = 1e-9
+
+
+def _principal_breakpoints(principal: np.ndarray) -> list[float]:
+    """Beliefs in (0, 1) where min over rows (p0, p1) of mu*p0 + (1 - mu)*p1
+    changes line. The walk starts at mu = 0 and moves each time to the
+    least-slope line at the first crossing with a line of smaller slope, so
+    the slope falls at every step; each step is O(lines)."""
+    lines = np.unique(principal, axis=0)
+    start, slope = lines[:, 1], lines[:, 0] - lines[:, 1]
+    cur = np.flatnonzero(start <= start.min() + _TIE_TOL)
+    cur = cur[np.argmin(slope[cur])]
+    x, out = 0.0, []
+    while (lower := np.flatnonzero(slope < slope[cur])).size:
+        cross = np.maximum((start[lower] - start[cur]) / (slope[cur] - slope[lower]), x)
+        x = float(cross.min())
+        if x >= 1.0:
+            break
+        at = lower[cross <= x]
+        cur = at[np.argmin(slope[at])]
+        out.append(x)
+    return out
+
+
 def solve_g3(table: CostTable, prior) -> PersuasionReport:
-    """Agent-optimal persuasion: the agent recommends candidate schemes to
-    the principal subject to obedience; agent-optimal ties break toward the
-    lower principal cost (stage-2 re-solve)."""
+    """Agent-optimal persuasion by concavification.
+
+    With two states, the agent's best value at prior mu is the lower convex
+    envelope at mu of ja*(p), the least agent cost over the vertices that are
+    principal-optimal at posterior p, i.e. whose principal value is within
+    _OPTIMAL_TOL of the g2 value jp2(p) (Kamenica & Gentzkow 2011). It is exact
+    to take that envelope over S = {0, mu, 1} and the breakpoints of jp2:
+    between two breakpoints the optimal set is fixed, so ja* is a minimum of
+    affine functions and hence concave; at a breakpoint the optimal set only
+    grows, so ja* can only drop. So every vertex of the envelope is in S.
+
+    Tie rules:
+    - Among agent-optimal splits the principal's cost is least: the hull
+      drops collinear interior points, so on a collinear stretch it returns
+      the widest split, which dominates every other split on that stretch in
+      convex order and so has the least sum of w * jp2 (jp2 is concave).
+    - A split whose agent and principal costs equal ja*(mu) and jp2(mu)
+      within 1e-9 buys nothing; the report is the single atom at mu.
+    - At mu = 0 or 1, or when the costs equal solve_g2's within 1e-9, the
+      report is solve_g2's scheme.
+    - Each atom recommends the first vertex, in _pair_profiles order, that
+      is principal-optimal there and has the least agent cost.
+    """
     mu = as_probability(prior)
     g2_here = solve_g2(table, mu)
     if mu <= 0.0 or mu >= 1.0:
         return _uninformative_report(g2_here, mu)
 
-    recs = _recommendations(table)
-    alive, lp, principal_obj = _persuasion_lp(recs, mu)
-    sol = solve_lp(lp)
-    if not sol.optimal:
-        raise SolverError("persuasion LP did not solve")
-    agent_value = float(sol.value)
+    profiles = _pair_profiles(table)
+    principal = np.vstack([prof.principal for prof in profiles])
+    beliefs = np.unique([0.0, mu, 1.0, *_principal_breakpoints(principal)])
+    weights = np.stack([beliefs, 1.0 - beliefs], axis=1)
+    pv = weights @ principal.T                      # (beliefs, vertices)
+    jp2 = pv.min(axis=1)
+    agent = weights @ np.vstack([prof.agent for prof in profiles]).T
+    agent[pv > jp2[:, None] + _OPTIMAL_TOL] = np.inf    # not principal-optimal
+    ja = agent.min(axis=1)
 
-    # stage 2: among agent-optimal policies, minimize the principal's cost
-    stage2 = LinearProgram(
-        objective=principal_obj,
-        constraint_matrix=lp.constraint_matrix if lp.constraint_matrix.shape[0] else None,
-        rhs=lp.rhs if lp.rhs.shape[0] else None,
-        equality_matrix=np.vstack([lp.equality_matrix, lp.objective[None, :]]),
-        equality_rhs=np.concatenate([lp.equality_rhs, [agent_value]]),
-    )
-    sol2 = solve_lp(stage2)
-    if not sol2.optimal:
-        raise SolverError("persuasion tie-break LP did not solve")
-    principal_value = float(sol2.value)
-
-    pi = np.zeros((len(recs), 2))
-    for t, (ri, k) in enumerate(alive):
-        pi[ri, k] = max(0.0, float(sol2.point[t]))
-    _verify_obedience(recs, mu, pi)
-    pi /= pi.sum(axis=0, keepdims=True)    # wash out solver residue (checked above)
-
+    agent_value, atoms = envelope_from_samples(beliefs, ja, mu)
+    idx = np.searchsorted(beliefs, [p for p, _ in atoms])
+    principal_value = float(sum(w * jp2[t] for (_, w), t in zip(atoms, idx)))
     if (
         abs(agent_value - g2_here.agent_cost) <= 1e-9
         and abs(principal_value - g2_here.principal_cost) <= 1e-9
     ):
         return _uninformative_report(g2_here, mu)
+    t = int(np.searchsorted(beliefs, mu))
+    if abs(agent_value - ja[t]) <= 1e-9 and abs(principal_value - jp2[t]) <= 1e-9:
+        atoms, idx = ((mu, 1.0),), [t]
 
-    weights = (mu, 1.0 - mu)
+    owner = [(prof.group, s) for prof in profiles for s in prof.schemes]
     entries = []
-    atoms = []
-    for ri, r in enumerate(recs):
-        marginal = pi[ri, 0] * weights[0] + pi[ri, 1] * weights[1]
-        if marginal <= 1e-12:
-            continue
-        posterior = pi[ri, 0] * weights[0] / marginal
-        entries.append(
-            RecommendedScheme(
-                group=r.group,
-                scheme=r.scheme,
-                prob_given_state=(float(pi[ri, 0]), float(pi[ri, 1])),
-                posterior=float(posterior),
-            )
-        )
-        atoms.append((float(posterior), float(marginal)))
-    total = sum(w for _, w in atoms)
-    atoms = [(p, w / total) for p, w in atoms]
-    split = PosteriorSplit(tuple(atoms)).consolidated(tol=1e-9)
+    for (p, w), t in zip(atoms, idx):
+        (i, j), gamma = owner[int(np.argmin(agent[t]))]
+        obeyed = p * gamma[:, i] @ table.cp[0][:, i] + (1.0 - p) * gamma[:, j] @ table.cp[1][:, j]
+        if obeyed > jp2[t] + BEST_RESPONSE_TOL:
+            raise SolverError("recommended scheme is not principal-optimal at its posterior")
+        entries.append(RecommendedScheme((i, j), gamma, (w * p / mu, w * (1.0 - p) / (1.0 - mu)), p))
     return PersuasionReport(
         recommendation_distribution=tuple(entries),
-        split=split,
+        split=PosteriorSplit(atoms),
         principal_cost=principal_value,
-        agent_cost=agent_value,
+        agent_cost=float(agent_value),
         prior=mu,
     )
 

@@ -2,9 +2,10 @@
 
 Each oracle recomputes a quantity by a deliberately different route — explicit
 vertex enumeration and evaluation instead of simplex optimization, exhaustive
-pair bracketing instead of the hull walk, Monte-Carlo playouts instead of
-closed forms — so agreement is evidence, not tautology. They share only the
-raw vertex enumerator with the solvers, never the minimization logic.
+pair bracketing instead of the hull walk, the obedience LP instead of the
+g3 hull, Monte-Carlo playouts instead of closed forms — so agreement is
+evidence, not tautology. They share only the raw vertex enumerator and the
+simplex kernel with the solvers, never the g2 or g3 decision logic.
 
 Default Monte-Carlo seed is fixed (and recorded in every report) so the
 verification suite is reproducible run to run.
@@ -19,10 +20,16 @@ import numpy as np
 
 from incentive_games.belief_engine import (
     as_probability,
-    lower_convex_envelope,
+    envelope_from_samples,
     tilde_entropy,
 )
-from incentive_games.lp_kernel import Polytope, enumerate_vertices
+from incentive_games.lp_kernel import (
+    LinearProgram,
+    Polytope,
+    SolverError,
+    enumerate_vertices,
+    solve_lp,
+)
 from incentive_games.matrix_games import (
     CostTable,
     solve_g2,
@@ -74,14 +81,13 @@ def _favorable_evaluation(table: CostTable, scheme: np.ndarray, mu: float) -> fl
     return total
 
 
-def oracle_g2_by_enumeration(table: CostTable, belief) -> float:
-    """Recompute the g2 value without any optimization: enumerate every
-    vertex of every response-pair polytope and evaluate each directly."""
-    mu = as_probability(belief)
+def _oracle_vertices(table: CostTable) -> list[tuple[int, int, np.ndarray]]:
+    """(i, j, scheme) for every vertex of every response-pair polytope,
+    built and enumerated here rather than read from the solver's cache."""
     m, n = table.m, table.n
     eye = np.eye(n)
     simplex_rows = np.kron(eye, np.ones(m))
-    best = math.inf
+    out = []
     for i in range(n):
         for j in range(n):
             rows = []
@@ -97,12 +103,89 @@ def oracle_g2_by_enumeration(table: CostTable, belief) -> float:
                 equality_matrix=simplex_rows,
                 equality_rhs=np.ones(n),
             )
-            for x in enumerate_vertices(poly):
-                gamma = x.reshape(n, m).T
-                best = min(best, _favorable_evaluation(table, gamma, mu))
-    if math.isinf(best):
+            out.extend((i, j, x.reshape(n, m).T) for x in enumerate_vertices(poly))
+    if not out:
         raise RuntimeError("no feasible response pair found by enumeration")
-    return best
+    return out
+
+
+def _g2_by_evaluation(table: CostTable, vertices, mu: float) -> float:
+    return min(_favorable_evaluation(table, gamma, mu) for _, _, gamma in vertices)
+
+
+def oracle_g2_by_enumeration(table: CostTable, belief) -> float:
+    """Recompute the g2 value without any optimization: enumerate every
+    vertex of every response-pair polytope and evaluate each directly."""
+    return _g2_by_evaluation(table, _oracle_vertices(table), as_probability(belief))
+
+
+# The obedience LP has one tableau row per (vertex, deviation), and a 3x3 table
+# can have hundreds of vertices: gigabytes of dense tableau. Above this many
+# cells (rows x (columns + rows), 4 MB) the oracle refuses instead.
+_OBEDIENCE_MAX_CELLS = 500_000
+
+
+def _g3_by_obedience(table: CostTable, vertices, mu: float) -> tuple[float, float]:
+    w = np.array([mu, 1.0 - mu])
+    principal, agent = np.array([
+        [[g[:, i] @ c[0][:, i], g[:, j] @ c[1][:, j]] for i, j, g in vertices]
+        for c in (table.cp, table.ca)
+    ])
+    # Deviations range over the Pareto-minimal distinct principal profiles:
+    # the obedience row against a dominated deviation is implied by the row
+    # against the deviation that dominates it.
+    distinct = np.unique(principal, axis=0)
+    deviations = np.array([
+        d for d in distinct
+        if not np.any(np.all(distinct <= d, axis=1) & np.any(distinct < d, axis=1))
+    ])
+    n_vert, n_dev = len(vertices), len(deviations)
+    n_rows = n_vert * n_dev + 3
+    if n_rows * (2 * n_vert + n_rows) > _OBEDIENCE_MAX_CELLS:
+        raise SolverError(
+            f"oracle_g3_by_obedience: {n_vert} vertices and {n_dev} deviations exceed "
+            f"the obedience LP's size limit of {_OBEDIENCE_MAX_CELLS} tableau cells"
+        )
+
+    # variable 2v + k is pi(vertex v | state k); row (v, d) keeps the principal
+    # from gaining by switching to deviation d when vertex v is recommended
+    rows = np.zeros((n_vert, n_dev, n_vert, 2))
+    v = np.arange(n_vert)
+    rows[v, :, v, :] = w * (principal[:, None, :] - deviations[None, :, :])
+    rows = rows.reshape(n_vert * n_dev, 2 * n_vert)
+    normalize = np.kron(np.ones(n_vert), np.eye(2))
+    agent_obj = (w * agent).reshape(-1)
+    stage1 = solve_lp(LinearProgram(
+        objective=agent_obj,
+        constraint_matrix=rows,
+        rhs=np.zeros(len(rows)),
+        equality_matrix=normalize,
+        equality_rhs=np.ones(2),
+    ))
+    if not stage1.optimal:
+        raise SolverError("oracle_g3_by_obedience: the obedience LP did not solve")
+    # stage 2: the least principal cost among agent-optimal policies
+    stage2 = solve_lp(LinearProgram(
+        objective=(w * principal).reshape(-1),
+        constraint_matrix=rows,
+        rhs=np.zeros(len(rows)),
+        equality_matrix=np.vstack([normalize, agent_obj]),
+        equality_rhs=np.array([1.0, 1.0, stage1.value]),
+    ))
+    if not stage2.optimal:
+        raise SolverError("oracle_g3_by_obedience: the tie-break LP did not solve")
+    return stage1.value, stage2.value
+
+
+def oracle_g3_by_obedience(table: CostTable, prior) -> tuple[float, float]:
+    """(agent value, principal value) of agent-optimal persuasion from the
+    two-stage obedience LP over every vertex of every response-pair polytope:
+    pi(v | state) recommends vertex v, no deviation may profit the principal,
+    the agent's expected cost is minimized, then the principal's."""
+    mu = as_probability(prior)
+    if not (0.0 < mu < 1.0):
+        raise ValueError("the obedience LP needs an interior prior")
+    return _g3_by_obedience(table, _oracle_vertices(table), mu)
 
 
 def oracle_envelope_by_pairs(xs, ys, query: float) -> float:
@@ -135,9 +218,11 @@ def oracle_envelope_by_pairs(xs, ys, query: float) -> float:
 def verify_matrix(table: CostTable, prior, grid_size: int = 2001, kappa: float | None = None) -> list[OracleReport]:
     """Cross-check every matrix solver on one table: g2 against enumeration
     at several beliefs, the hull walk against pair bracketing, persuasion
-    against the envelope theorem, and acquisition against an independently
-    assembled envelope."""
+    against the envelope theorem and the obedience LP, and acquisition
+    against an independently assembled envelope. The vertices are
+    enumerated once and shared by the g2 and obedience oracles."""
     mu = as_probability(prior)
+    vertices = _oracle_vertices(table)
     reports = []
 
     beliefs = sorted({0.0, 0.25, 0.5, 0.75, 1.0, mu})
@@ -146,31 +231,31 @@ def verify_matrix(table: CostTable, prior, grid_size: int = 2001, kappa: float |
             OracleReport(
                 quantity=f"g2 principal value at belief {b:g}",
                 solver_value=solve_g2(table, b).principal_cost,
-                oracle_value=oracle_g2_by_enumeration(table, b),
+                oracle_value=_g2_by_evaluation(table, vertices, b),
                 tolerance=1e-8,
             )
         )
 
     xs, jp, ja = value_curves(table, grid_size)
-    hull = lower_convex_envelope(ja, mu, grid_size=grid_size)
+    envelope, _ = envelope_from_samples(xs, ja, mu)
     reports.append(
         OracleReport(
             quantity="agent-curve envelope at the prior",
-            solver_value=hull.value,
+            solver_value=envelope,
             oracle_value=oracle_envelope_by_pairs(xs, ja, mu),
             tolerance=1e-10,
         )
     )
     if 0.0 < mu < 1.0:
+        g3 = solve_g3(table, mu)
+        agent, principal = _g3_by_obedience(table, vertices, mu)
         lipschitz = float(np.max(np.abs(np.diff(ja)))) * (grid_size - 1)
-        reports.append(
-            OracleReport(
-                quantity="persuasion value vs envelope",
-                solver_value=solve_g3(table, mu).agent_cost,
-                oracle_value=hull.value,
-                tolerance=2.0 * lipschitz / grid_size,
-            )
-        )
+        for quantity, solver_value, oracle_value, tolerance in (
+            ("persuasion value vs envelope", g3.agent_cost, envelope, 2.0 * lipschitz / grid_size),
+            ("persuasion agent cost vs obedience LP", g3.agent_cost, agent, 1e-9),
+            ("persuasion principal cost vs obedience LP", g3.principal_cost, principal, 1e-9),
+        ):
+            reports.append(OracleReport(quantity, solver_value, oracle_value, tolerance))
         if kappa is not None and kappa >= 0.0:
             net = jp - kappa * tilde_entropy(xs, mu)
             reports.append(

@@ -86,12 +86,6 @@ class QGReport:
 # ---------------------------------------------------------------------------
 
 
-def qg_team_solution(p: QGParams) -> tuple[float, float]:
-    """Slopes of the jointly optimal actions (u, v) = (a*theta, b*theta)."""
-    denom = 3.0 * p.beta + 2.0
-    return p.beta / denom, 2.0 / denom
-
-
 def _policy(beta: float) -> PolicyCoefficients:
     denom = 3.0 * beta + 2.0
     q = (1.0 - beta) / beta

@@ -8,7 +8,7 @@ from incentive_games.belief_engine import (
     PosteriorSplit,
     as_probability,
     binary_entropy,
-    lower_convex_envelope,
+    envelope_from_samples,
     reference_transform,
     tilde_entropy,
 )
@@ -27,9 +27,6 @@ def test_split_validation():
         PosteriorSplit(((0.2, 0.5), (0.8, 0.6)))  # weights exceed 1
     with pytest.raises(ValueError):
         PosteriorSplit(((0.2, -0.1), (0.8, 1.1)))
-    s = PosteriorSplit(((0.2, 0.5), (0.2, 0.25), (0.6, 0.25)))
-    merged = s.consolidated()
-    assert_atoms(merged.atoms, ((0.2, 0.75), (0.6, 0.25)))
 
 
 def test_binary_entropy_values():
@@ -100,40 +97,47 @@ def test_array_beliefs_are_validated():
 # ---------------------------------------------------------------------------
 
 
+def sampled_envelope(f, query, grid_size):
+    """Envelope of f sampled on a uniform grid: (value, supporting split)."""
+    xs = np.linspace(0.0, 1.0, grid_size)
+    value, atoms = envelope_from_samples(xs, [f(float(x)) for x in xs], query)
+    return value, PosteriorSplit(atoms)
+
+
 def test_envelope_of_convex_function_is_itself():
-    res = lower_convex_envelope(lambda x: x * x, 0.3, grid_size=2001)
-    assert res.value == pytest.approx(0.09, abs=1e-12)
-    assert len(res.split.atoms) == 1
-    assert res.split.atoms[0][0] == pytest.approx(0.3, abs=1e-12)
+    value, split = sampled_envelope(lambda x: x * x, 0.3, 2001)
+    assert value == pytest.approx(0.09, abs=1e-12)
+    assert len(split.atoms) == 1
+    assert split.atoms[0][0] == pytest.approx(0.3, abs=1e-12)
 
 
 def test_envelope_piecewise_affine_convex():
     # v-shaped convex curve: 3-x left of the kink at 0.5, 2+x right of it
-    res = lower_convex_envelope(lambda x: max(3.0 - x, 2.0 + x), 0.4, grid_size=2001)
-    assert res.value == pytest.approx(2.6, abs=1e-9)
-    assert res.split.is_plausible(0.4, tol=1e-9)
-    mix = sum(w * max(3.0 - p, 2.0 + p) for p, w in res.split.atoms)
+    value, split = sampled_envelope(lambda x: max(3.0 - x, 2.0 + x), 0.4, 2001)
+    assert value == pytest.approx(2.6, abs=1e-9)
+    assert split.is_plausible(0.4, tol=1e-9)
+    mix = sum(w * max(3.0 - p, 2.0 + p) for p, w in split.atoms)
     assert mix == pytest.approx(2.6, abs=1e-9)
 
 
 def test_envelope_tent_function():
-    res = lower_convex_envelope(lambda x: min(x, 1.0 - x) * 2.0, 0.5, grid_size=2001)
-    assert res.value == pytest.approx(0.0, abs=1e-12)
-    assert_atoms(res.split.atoms, ((0.0, 0.5), (1.0, 0.5)))
+    value, split = sampled_envelope(lambda x: min(x, 1.0 - x) * 2.0, 0.5, 2001)
+    assert value == pytest.approx(0.0, abs=1e-12)
+    assert_atoms(split.atoms, ((0.0, 0.5), (1.0, 0.5)))
 
 
 def test_envelope_affine_function_keeps_endpoints_only():
     # collinear samples must collapse to the chord between the endpoints
-    res = lower_convex_envelope(lambda x: 1.0 + x, 0.75, grid_size=2001)
-    assert res.value == pytest.approx(1.75, abs=1e-12)
-    assert_atoms(res.split.atoms, ((0.0, 0.25), (1.0, 0.75)))
+    value, split = sampled_envelope(lambda x: 1.0 + x, 0.75, 2001)
+    assert value == pytest.approx(1.75, abs=1e-12)
+    assert_atoms(split.atoms, ((0.0, 0.25), (1.0, 0.75)))
 
 
 def test_envelope_rejects_bad_input():
     with pytest.raises(ValueError):
-        lower_convex_envelope(lambda x: x, 0.5, grid_size=2)
+        envelope_from_samples(np.linspace(0.0, 0.4, 2), [0.0, 0.4], 0.5)
     with pytest.raises(ValueError):
-        lower_convex_envelope(lambda x: float("nan"), 0.5, grid_size=11)
+        sampled_envelope(lambda x: float("nan"), 0.5, 11)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -146,12 +150,12 @@ def test_envelope_dominance_and_plausibility(seed, q):
     def f(x):
         return float(np.interp(x, knots, vals))
 
-    res = lower_convex_envelope(f, q, grid_size=801)
-    assert res.value <= f(q) + 1e-9
-    assert res.split.is_plausible(q, tol=1e-9)
+    value, split = sampled_envelope(f, q, 801)
+    assert value <= f(q) + 1e-9
+    assert split.is_plausible(q, tol=1e-9)
     # the split realizes the envelope value on the sampled function
-    mix = sum(w * f(p) for p, w in res.split.atoms)
-    assert res.value == pytest.approx(mix, abs=1e-9)
+    mix = sum(w * f(p) for p, w in split.atoms)
+    assert value == pytest.approx(mix, abs=1e-9)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -167,7 +171,7 @@ def test_envelope_is_midpoint_convex(seed):
     qs = np.sort(rng.uniform(0.01, 0.99, 3))
     if qs[2] - qs[0] < 1e-6:
         return
-    ev = [lower_convex_envelope(f, q, grid_size=801).value for q in qs]
+    ev = [sampled_envelope(f, q, 801)[0] for q in qs]
     lam = (qs[2] - qs[1]) / (qs[2] - qs[0])
     assert ev[1] <= lam * ev[0] + (1 - lam) * ev[2] + 1e-9
 
@@ -183,8 +187,8 @@ def test_envelope_of_convex_matches_within_grid_error(seed, q):
 
     grid = 801
     lip = abs(2 * a) + abs(b)
-    res = lower_convex_envelope(f, q, grid_size=grid)
-    assert abs(res.value - f(q)) <= 2.0 * lip / grid + 1e-12
+    value, _ = sampled_envelope(f, q, grid)
+    assert abs(value - f(q)) <= 2.0 * lip / grid + 1e-12
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -1,9 +1,13 @@
 """End-to-end tests for the command-line front end."""
 
+import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from incentive_games import cli
 from incentive_games.matrix_games import (
@@ -302,3 +306,70 @@ def test_argparse_errors_exit_2(capsys):
 def test_help_exits_0(capsys):
     assert run("--help") == 0
     assert "incentive-games" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# fuzzed scenario files
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _matrix_docs(draw):
+    """Matrix scenarios with tables up to 2x3. About half are valid; the
+    rest carry one defect: a ragged or mismatched shape, a non-finite or
+    non-numeric entry, or a bad prior or kappa."""
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    entry = st.one_of(st.integers(0, 5), st.floats(-5.0, 5.0))
+    mats = [[draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)] for _ in range(4)]
+    doc = {"kind": "matrix", "cp": mats[:2], "ca": mats[2:], "prior": draw(st.floats(0.0, 1.0))}
+    if draw(st.booleans()):
+        doc["kappa"] = draw(st.floats(0.0, 4.0))
+    defect = draw(st.sampled_from(["none"] * 6 + ["row", "cell", "prior", "kappa"]))
+    if defect == "row":
+        mats[draw(st.integers(0, 3))].append([1.0] * n)
+    elif defect == "cell":
+        mats[draw(st.integers(0, 3))][0][0] = draw(st.sampled_from([math.nan, math.inf, "1", None]))
+    elif defect == "prior":
+        doc["prior"] = draw(st.sampled_from([-0.25, 1.5, math.nan, "x"]))
+    elif defect == "kappa":
+        doc["kappa"] = draw(st.sampled_from([-1.0, math.inf]))
+    return doc
+
+
+_FOUR_BY_FOUR = {
+    "kind": "matrix",
+    "cp": np.random.default_rng(4).integers(0, 6, (2, 4, 4)).tolist(),
+    "ca": np.random.default_rng(5).integers(0, 6, (2, 4, 4)).tolist(),
+    "prior": 0.5,
+}
+
+
+@pytest.fixture(scope="module")
+def scenario_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "scenario.json"
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(["g1", "g2", "g3", "g4", "verify"]), _matrix_docs())
+@example("g3", _FOUR_BY_FOUR)
+@example("verify", _FOUR_BY_FOUR)
+def test_fuzzed_scenarios_exit_with_a_documented_code(scenario_path, command, doc):
+    scenario_path.write_text(json.dumps(doc))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = run(command, str(scenario_path), "--grid", "51")
+    assert code in (0, 2, 3, 4)
+
+
+def test_verify_on_a_3x3_table_stops_at_the_oracle_size_limit(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    doc = {
+        "kind": "matrix",
+        "cp": rng.uniform(0, 5, (2, 3, 3)).tolist(),
+        "ca": rng.uniform(0, 5, (2, 3, 3)).tolist(),
+        "prior": 0.5,
+    }
+    path = tmp_path / "three_by_three.json"
+    path.write_text(json.dumps(doc))
+    assert run("verify", str(path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: oracle_g3_by_obedience")
+    assert "size limit" in err

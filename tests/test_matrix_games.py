@@ -395,9 +395,9 @@ def test_g3_properties_random(table, prior):
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
-# A real-valued 4x2 table on which phase one of the tie-break LP once took
-# ratios from rows whose rhs had drifted below zero, lost feasibility and
-# ran for more than 60,000 pivots without finishing.
+# A real-valued 4x2 table on which phase one of g3's former stage-2 obedience
+# LP took ratios from rows whose rhs had drifted below zero, lost feasibility
+# and ran for more than 60,000 pivots without finishing.
 DRIFTING_TABLE = CostTable(
     cp=(
         [[0.6201241443999006, 4.715110558328109], [3.611635045302301, 1.5230916091164626],
@@ -416,7 +416,8 @@ DRIFTING_TABLE = CostTable(
 
 def test_g3_solves_where_phase_one_drifted(monkeypatch):
     # the default pivot cap would stop a run like the old one after ~5,000
-    # pivots; a cap of 2 per tableau line shows it now finishes well inside
+    # pivots; with a cap of 2 per tableau line, the simplex runs that remain
+    # (solve_g2 and the vertex enumeration) still finish
     monkeypatch.setattr(lp_kernel, "_PIVOTS_PER_LINE", 2)
     prior = 0.629498698921407
     r = solve_g3(DRIFTING_TABLE, prior)
@@ -426,6 +427,34 @@ def test_g3_solves_where_phase_one_drifted(monkeypatch):
     xs, ja = agent_value_curve(DRIFTING_TABLE, 2001)
     envelope, _ = envelope_from_samples(xs, ja, prior)
     assert r.agent_cost == pytest.approx(envelope, abs=1e-9)
+
+
+# The 4x2 table of the benchmark's persuasion-fresh workload, seed 6, round 8,
+# labelled as that seed labels it. Its obedience LP pivoted on a 2.9e-9
+# element, and g3 failed with "persuasion tie-break LP did not solve".
+SEED6_TABLE = CostTable(
+    cp=(
+        [[1.4705614832815832, 3.911847545706495], [2.6441503238645008, 0.4912024427507383],
+         [1.346223297640658, 1.9255881538113617], [2.9893382976932252, 4.274965606046025]],
+        [[0.6201241443999006, 4.715110558328109], [0.5611386911264649, 2.2435713704130507],
+         [0.7291625707233412, 4.374484844333637], [3.611635045302301, 1.5230916091164626]],
+    ),
+    ca=(
+        [[0.4723884519261934, 4.303112048733283], [0.4005539087496851, 3.3890548153133304],
+         [4.927172932614841, 0.08359857867067944], [1.6404617758998237, 2.7468508953718778]],
+        [[0.9292197582920753, 3.042136491106293], [1.9241453779122826, 0.8467852962023231],
+         [3.5615816176392268, 0.7299787896578114], [4.48159425416023, 1.9293698437412132]],
+    ),
+)
+
+
+def test_g3_solves_the_seed6_table():
+    prior = 0.4903450563483135
+    r = solve_g3(SEED6_TABLE, prior)
+    assert r.agent_cost == pytest.approx(0.8318066528748811, abs=1e-9)
+    assert [p for p, _ in r.split.atoms] == pytest.approx([0.46722088132846, 1.0], abs=1e-12)
+    assert r.split.is_plausible(prior, tol=1e-9)
+    assert r.agent_cost <= solve_g2(SEED6_TABLE, prior).agent_cost
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incentive_games.belief_engine import lower_convex_envelope
-from incentive_games.matrix_games import CostTable, agent_value_curve, solve_g2
+from incentive_games.belief_engine import envelope_from_samples
+from incentive_games.matrix_games import CostTable, agent_value_curve, solve_g2, solve_g3
 from incentive_games.oracle import (
     DEFAULT_SEED,
     OracleReport,
     oracle_envelope_by_pairs,
+    _oracle_vertices,
     oracle_g2_by_enumeration,
+    oracle_g3_by_obedience,
     oracle_qg_montecarlo,
     verify_matrix,
     verify_qg,
@@ -74,6 +76,76 @@ def test_enumeration_oracle_agrees_on_3x3():
 
 
 # ---------------------------------------------------------------------------
+# obedience LP oracle
+# ---------------------------------------------------------------------------
+
+
+def _shaped_tables():
+    """2x2, 2x3 and 3x2 tables, real-valued or integer-valued."""
+
+    def of(m, n, entry):
+        count = 4 * m * n
+        return st.lists(entry, min_size=count, max_size=count).map(
+            lambda v: CostTable(
+                cp=np.array(v[: 2 * m * n], dtype=float).reshape(2, m, n),
+                ca=np.array(v[2 * m * n :], dtype=float).reshape(2, m, n),
+            )
+        )
+
+    return st.sampled_from([(2, 2), (2, 3), (3, 2)]).flatmap(
+        lambda mn: st.one_of(of(*mn, _entry), of(*mn, st.integers(0, 5)))
+    )
+
+
+def _no_information_costs(table, prior):
+    """(principal, agent) cost of the best single recommendation at the prior:
+    the least agent cost among the principal-optimal vertices."""
+    costs = [
+        (
+            prior * g[:, i] @ table.cp[0][:, i] + (1 - prior) * g[:, j] @ table.cp[1][:, j],
+            prior * g[:, i] @ table.ca[0][:, i] + (1 - prior) * g[:, j] @ table.ca[1][:, j],
+        )
+        for i, j, g in _oracle_vertices(table)
+    ]
+    jp = min(p for p, _ in costs)
+    return jp, min(a for p, a in costs if p <= jp + 1e-9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_shaped_tables(), st.floats(min_value=0.05, max_value=0.95, allow_nan=False))
+def test_g3_hull_equals_the_obedience_lp(table, prior):
+    r = solve_g3(table, prior)
+    agent, principal = oracle_g3_by_obedience(table, prior)
+    assert r.agent_cost == pytest.approx(agent, abs=1e-8)
+    assert r.principal_cost == pytest.approx(principal, abs=1e-8)
+    assert len(r.split.atoms) <= 2
+    assert r.split.is_plausible(prior, tol=1e-9)
+    jp, ja = _no_information_costs(table, prior)
+    if abs(r.principal_cost - jp) <= 1e-9 and abs(r.agent_cost - ja) <= 1e-9:
+        assert len(r.split.atoms) == 1
+        assert r.split.atoms[0][0] == pytest.approx(prior, abs=1e-9)
+
+
+def test_g3_double_tie_reports_the_prior():
+    # Revealing the state fully (posteriors 0 and 1, weights 0.75 and 0.25)
+    # costs the agent 1.0 and the principal 2.75, and so does recommending
+    # the scheme below without any information: the split buys nothing.
+    table = CostTable(
+        cp=([[2, 4], [5, 5]], [[0, 3], [3, 3]]),
+        ca=([[1, 2], [3, 2]], [[4, 1], [4, 3]]),
+    )
+    r = solve_g3(table, 0.25)
+    assert r.split.atoms == ((0.25, 1.0),)
+    assert r.agent_cost == pytest.approx(1.0, abs=1e-12)
+    assert r.principal_cost == pytest.approx(2.75, abs=1e-12)
+    (rec,) = r.recommendation_distribution
+    assert rec.group == (0, 1)
+    assert np.array_equal(rec.scheme, [[1.0, 1.0], [0.0, 0.0]])
+    assert solve_g2(table, 0.25).agent_cost == pytest.approx(2.5, abs=1e-12)
+    assert oracle_g3_by_obedience(table, 0.25) == pytest.approx((1.0, 2.75), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
 # envelope pair oracle
 # ---------------------------------------------------------------------------
 
@@ -111,10 +183,9 @@ def test_pair_oracle_rejects_out_of_range():
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
 )
 def test_pair_oracle_matches_hull_walk(values, query):
-    grid_size = len(values)
-    xs = np.linspace(0.0, 1.0, grid_size)
-    hull = lower_convex_envelope(values, query, grid_size=grid_size)
-    assert oracle_envelope_by_pairs(xs, values, query) == pytest.approx(hull.value, abs=1e-10)
+    xs = np.linspace(0.0, 1.0, len(values))
+    value, _ = envelope_from_samples(xs, values, query)
+    assert oracle_envelope_by_pairs(xs, values, query) == pytest.approx(value, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from incentive_games.qg_games import (
     qg_g3,
     qg_g4_cost,
     qg_g4_optimize,
-    qg_team_solution,
 )
 
 REF = QGParams(beta=1.0, z0=1.0, sigma0_sq=4.0)
@@ -45,13 +44,13 @@ def test_params_validation():
 
 
 def test_team_solution_values():
-    assert qg_team_solution(REF) == pytest.approx((0.2, 0.4), abs=1e-12)
-    p = QGParams(beta=0.5, z0=0.0, sigma0_sq=1.0)
-    assert qg_team_solution(p) == pytest.approx((1.0 / 7.0, 4.0 / 7.0), abs=1e-12)
-    p = QGParams(beta=1e6, z0=0.0, sigma0_sq=1.0)
-    u, v = qg_team_solution(p)
-    assert u == pytest.approx(1.0 / 3.0, abs=1e-5)
-    assert v == pytest.approx(0.0, abs=1e-5)
+    pol = qg_g2(REF).policy
+    assert (pol.ut_slope, pol.vt_slope) == pytest.approx((0.2, 0.4), abs=1e-12)
+    pol = qg_g2(QGParams(beta=0.5, z0=0.0, sigma0_sq=1.0)).policy
+    assert (pol.ut_slope, pol.vt_slope) == pytest.approx((1.0 / 7.0, 4.0 / 7.0), abs=1e-12)
+    pol = qg_g2(QGParams(beta=1e6, z0=0.0, sigma0_sq=1.0)).policy
+    assert pol.ut_slope == pytest.approx(1.0 / 3.0, abs=1e-5)
+    assert pol.vt_slope == pytest.approx(0.0, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
