@@ -1,12 +1,16 @@
 """Dense linear programming and polytope vertex enumeration.
 
-Everything here is deliberately small-scale: the games this package solves
-never produce more than a dozen variables, so a two-phase tableau simplex
-with Bland's rule (deterministic, cycle-free in exact arithmetic) and
-combinatorial vertex enumeration are both exact enough and fast enough.
-Re-running any routine on the same input is bit-identical. Where either one
-cannot finish (a capped pivot count, a capped number of bases) it raises
-SolverError rather than reporting the input as invalid.
+Everything here is deliberately small-scale: a scheme of an m x n table has
+m * n variables (16 for 4 x 4), so a two-phase tableau simplex with Bland's
+rule (deterministic, cycle-free in exact arithmetic, each pivot one outer
+product) and combinatorial vertex enumeration are both exact enough and fast
+enough. Enumeration checks boundedness with one LP (two more per free
+variable), then solves the candidate bases in fixed-size blocks of batched
+square systems, tests them with one feasibility rule (Polytope.contains) and
+deduplicates in basis order. Re-running any routine on the same input is
+bit-identical. Where either one cannot finish (a capped pivot count, a
+capped number of bases) it raises SolverError rather than reporting the
+input as invalid.
 """
 
 from __future__ import annotations
@@ -140,17 +144,21 @@ class Polytope:
             bounds=self.bounds,
         )
 
-    def contains(self, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
+    def contains(self, x: np.ndarray, tol: float = FEAS_TOL) -> bool | np.ndarray:
+        """Whether a point (d,) lies in the polytope within `tol`; for a batch
+        (B, d), a mask over its rows. Each row's products are summed the
+        same way whatever the batch, so a row's answer never depends on it."""
         x = np.asarray(x, dtype=float)
-        if self.constraint_matrix.shape[0] and np.any(self.constraint_matrix @ x > self.rhs + tol):
-            return False
-        if self.equality_matrix.shape[0] and np.any(
-            np.abs(self.equality_matrix @ x - self.equality_rhs) > tol
-        ):
-            return False
+        pts = np.atleast_2d(x)
         lo = np.array([b[0] for b in self.bounds])
         hi = np.array([b[1] for b in self.bounds])
-        return bool(np.all(x >= lo - tol) and np.all(x <= hi + tol))
+        ok = np.all(pts >= lo - tol, axis=1) & np.all(pts <= hi + tol, axis=1)
+        if self.constraint_matrix.shape[0]:
+            ok &= ~np.any(np.einsum("bj,ij->bi", pts, self.constraint_matrix) > self.rhs + tol, axis=1)
+        if self.equality_matrix.shape[0]:
+            resid = np.einsum("bj,ij->bi", pts, self.equality_matrix) - self.equality_rhs
+            ok &= ~np.any(np.abs(resid) > tol, axis=1)
+        return bool(ok[0]) if x.ndim < 2 else ok
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +217,18 @@ def _to_standard_form(lp: LinearProgram):
     return c, A, b, E, f, recover
 
 
+def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
+    """Gauss-Jordan pivot in place: scale `row` to a unit entry at `col`,
+    then subtract its multiples from every other row with a nonzero entry
+    there (one outer product; the same products and differences as a loop
+    over those rows)."""
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    rows = factors.nonzero()[0]
+    tableau[rows] -= factors[rows, None] * tableau[row]
+
+
 def _bland_simplex(tableau: np.ndarray, basis: np.ndarray, n_vars: int):
     """Phase core: minimize the objective row in-place with Bland's rule.
 
@@ -220,38 +240,33 @@ def _bland_simplex(tableau: np.ndarray, basis: np.ndarray, n_vars: int):
     m = tableau.shape[0] - 1
     max_pivots = _PIVOTS_PER_LINE * sum(tableau.shape)
     for pivots in itertools.count():
-        red = tableau[-1, :n_vars]
-        entering = -1
-        for j in range(n_vars):         # Bland: smallest index with negative reduced cost
-            if red[j] < -_PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        # Bland: smallest index with negative reduced cost
+        negative = (tableau[-1, :n_vars] < -_PIVOT_TOL).nonzero()[0]
+        if not negative.size:
             return "optimal"
         if pivots == max_pivots:
             raise SolverError(
                 f"simplex phase did not finish within {max_pivots} pivots "
                 f"on a {m}-row tableau (floating-point cycling)"
             )
+        entering = int(negative[0])
         col = tableau[:m, entering]
-        rhs = tableau[:m, -1]
+        rows = (col > _PIVOT_TOL).nonzero()[0]
+        # round-off below 0 is degenerate, not a step back
+        ratios = np.maximum(tableau[rows, -1], 0.0) / col[rows]
         leave = -1
         best = np.inf
-        for i in range(m):
-            if col[i] > _PIVOT_TOL:
-                ratio = max(rhs[i], 0.0) / col[i]   # round-off below 0 is degenerate, not a step back
-                if ratio < best - 1e-12 or (
-                    abs(ratio - best) <= 1e-12 and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
+        # near ties within 1e-12 go to the smaller basic index; the rule
+        # depends on scan order, so it stays a sequential scan
+        for i, ratio in zip(rows.tolist(), ratios.tolist()):
+            if ratio < best - 1e-12 or (
+                abs(ratio - best) <= 1e-12 and (leave < 0 or basis[i] < basis[leave])
+            ):
+                best = ratio
+                leave = i
         if leave < 0:
             return "unbounded"
-        piv = tableau[leave, entering]
-        tableau[leave] /= piv
-        for i in range(tableau.shape[0]):
-            if i != leave and tableau[i, entering] != 0.0:
-                tableau[i] -= tableau[i, entering] * tableau[leave]
+        _pivot(tableau, leave, entering)
         basis[leave] = entering
 
 
@@ -267,55 +282,29 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         x = recover(np.zeros(n))
         return LpSolution(LpStatus.OPTIMAL, x, float(lp.objective @ x))
 
-    rows = np.vstack([A, E])
-    brhs = np.concatenate([b, f])
-    is_ineq = np.array([True] * A.shape[0] + [False] * E.shape[0])
-
-    # slack columns for inequality rows
-    n_slack = int(is_ineq.sum())
-    slack_cols = np.zeros((m, n_slack))
-    slack_of_row = np.full(m, -1, dtype=int)
-    si = 0
-    for i in range(m):
-        if is_ineq[i]:
-            slack_cols[i, si] = 1.0
-            slack_of_row[i] = n + si
-            si += 1
-    M = np.hstack([rows, slack_cols])
-
-    # normalize to nonnegative rhs (flips slack signs on negated rows)
-    neg = brhs < 0
-    M[neg] *= -1.0
-    brhs = np.abs(brhs)
-
-    # initial basis: usable slack where available, artificial otherwise
-    basis = np.full(m, -1, dtype=int)
-    need_art = []
-    for i in range(m):
-        j = slack_of_row[i]
-        if j >= 0 and M[i, j] > 0.0:
-            basis[i] = j
-        else:
-            need_art.append(i)
+    n_slack = A.shape[0]                    # inequality rows come first
     n_real = n + n_slack
-    n_art = len(need_art)
-    art_cols = np.zeros((m, n_art))
-    for k, i in enumerate(need_art):
-        art_cols[i, k] = 1.0
-        basis[i] = n_real + k
-    n_total = n_real + n_art
+    brhs = np.concatenate([b, f])
+    neg = brhs < 0
+    brhs = np.abs(brhs)
+    # initial basis: the slack of each inequality row left unnegated, an
+    # artificial for the other rows
+    need_art = np.flatnonzero(neg | (np.arange(m) >= n_slack))
+    basis = n + np.arange(m)
+    basis[need_art] = n_real + np.arange(need_art.size)
+    n_total = n_real + need_art.size
 
     tab = np.zeros((m + 1, n_total + 1))
-    tab[:m, :n_real] = M
-    if n_art:
-        tab[:m, n_real:n_total] = art_cols
+    tab[:m, :n] = np.vstack([A, E])
+    tab[np.arange(n_slack), n + np.arange(n_slack)] = 1.0
+    tab[:m, :n_real][neg] *= -1.0         # normalize to nonnegative rhs
+    tab[need_art, basis[need_art]] = 1.0
     tab[:m, -1] = brhs
 
-    if n_art:
+    if need_art.size:
         tab[-1, n_real:n_total] = 1.0
-        for i in range(m):                       # price out artificial basics
-            if basis[i] >= n_real:
-                tab[-1] -= tab[i]
+        for i in need_art:                       # price out artificial basics
+            tab[-1] -= tab[i]
         status = _bland_simplex(tab, basis, n_total)
         phase1 = -tab[-1, -1]
         scale = max(1.0, float(np.max(np.abs(brhs))))
@@ -323,18 +312,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             return LpSolution(LpStatus.INFEASIBLE)
         # drive artificials still basic at zero out where possible; rows where
         # no pivot exists are redundant and their zero artificial stays basic
-        for i in range(m):
-            if basis[i] >= n_real:
-                row = np.abs(tab[i, :n_real])
-                cand = np.nonzero(row > _PIVOT_TOL)[0]
-                if cand.size:
-                    j = int(cand[0])
-                    piv = tab[i, j]
-                    tab[i] /= piv
-                    for r in range(m + 1):
-                        if r != i and tab[r, j] != 0.0:
-                            tab[r] -= tab[r, j] * tab[i]
-                    basis[i] = j
+        for i in np.flatnonzero(basis >= n_real):
+            cand = (np.abs(tab[i, :n_real]) > _PIVOT_TOL).nonzero()[0]
+            if cand.size:
+                basis[i] = cand[0]
+                _pivot(tab, i, basis[i])
 
     # phase 2: fresh objective row, artificial columns never re-enter because
     # the entering scan in _bland_simplex is limited to the first n_real cols
@@ -349,8 +331,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         return LpSolution(LpStatus.UNBOUNDED)
 
     y = np.zeros(n_total)
-    for i in range(m):
-        y[basis[i]] = tab[i, -1]
+    y[basis] = tab[:m, -1]
     x = recover(y[:n])
     value = float(lp.objective @ x)
     return LpSolution(LpStatus.OPTIMAL, x, value)
@@ -394,6 +375,10 @@ def lexicographic_argmin(lp: LinearProgram) -> LpSolution:
 # ---------------------------------------------------------------------------
 
 _MAX_BASES = 400_000
+# Candidate bases assembled, factored and solved together: large enough that
+# per-block overhead vanishes, small enough that the (block, dim, dim) systems
+# stay a few MB (at the 400k cap with dim 16 the whole batch would be 0.8 GB).
+_BASES_PER_BLOCK = 8192
 
 
 def _inequality_system(p: Polytope):
@@ -417,69 +402,80 @@ def _inequality_system(p: Polytope):
     return np.zeros((0, d)), np.zeros(0)
 
 
+def _bounded_and_feasible(p: Polytope) -> bool:
+    """False for an empty polytope; ValueError for an unbounded one.
+
+    One LP pushes every coordinate away from its finite bound: it maximizes
+    the sum of y_t = x_t - lo_t (finite lower bound) and y_t = hi_t - x_t
+    (upper bound only). Every y_t is >= 0, so a finite maximum of their sum
+    bounds each y_t, and with it each such coordinate on both sides;
+    conversely an unbounded y_t makes the LP unbounded. Its phase one decides
+    feasibility. A free coordinate has no such y_t and gets its own two LPs.
+    """
+    push = np.array([-1.0 if np.isfinite(lo) else 1.0 if np.isfinite(hi) else 0.0
+                     for lo, hi in p.bounds])
+    free = np.eye(p.dim)[push == 0.0]
+    for c in [push, *free, *-free]:
+        sol = solve_lp(p.lp(c))
+        if sol.status is LpStatus.UNBOUNDED:
+            raise ValueError("polytope is unbounded")
+        if sol.status is LpStatus.INFEASIBLE:
+            return False
+    return True
+
+
 def enumerate_vertices(p: Polytope) -> list[np.ndarray]:
     """All basic feasible solutions of a bounded polytope, deduplicated.
 
     Combinatorial active-set enumeration: every choice of dim - rank(eq)
     inequalities, made tight together with the equalities, is solved as a
-    square system and kept if feasible. Unbounded input raises ValueError;
-    more than _MAX_BASES candidate bases raise SolverError before any is
-    built.
+    square system and kept if feasible; the candidate bases go through in
+    lexicographic blocks of _BASES_PER_BLOCK, each one batched array
+    operation per step. A candidate is a new vertex when its L-inf distance to
+    every vertex kept before it, in basis order, exceeds DEDUPE_TOL.
+    Unbounded input raises ValueError; more than _MAX_BASES candidate bases
+    raise SolverError before any is built.
     """
     d = p.dim
-    # boundedness pre-check via coordinate LPs
-    for t in range(d):
-        for sign in (1.0, -1.0):
-            c = np.zeros(d)
-            c[t] = sign
-            sol = solve_lp(p.lp(c))
-            if sol.status is LpStatus.UNBOUNDED:
-                raise ValueError("polytope is unbounded")
-            if sol.status is LpStatus.INFEASIBLE:
-                return []
+    if not _bounded_and_feasible(p):
+        return []
 
     G, h = _inequality_system(p)
     E, f = p.equality_matrix, p.equality_rhs
     n_eq = E.shape[0]
-    k = d - n_eq
-    if k < 0:
-        k = 0
-    n_ineq = G.shape[0]
-    if k > n_ineq:
-        return []
-
-    n_bases = math.comb(n_ineq, k)
+    k = max(d - n_eq, 0)
+    n_bases = math.comb(G.shape[0], k)
     if n_bases > _MAX_BASES:
         raise SolverError(
             f"vertex enumeration would examine {n_bases} bases (limit {_MAX_BASES}); "
             "polytope too large for combinatorial enumeration"
         )
 
-    # batched square solves: stack candidate systems, filter singular ones
-    mats = np.empty((n_bases, d, d))
-    rhss = np.empty((n_bases, d))
-    for t, combo in enumerate(itertools.combinations(range(n_ineq), k)):
-        if n_eq:
-            mats[t, :n_eq] = E
-            rhss[t, :n_eq] = f
-        if k:
-            mats[t, n_eq:] = G[list(combo)]
-            rhss[t, n_eq:] = h[list(combo)]
-    with np.errstate(all="ignore"):
-        dets = np.linalg.det(mats)
-    ok = np.abs(dets) > 1e-12 * np.maximum(1.0, np.max(np.abs(mats), axis=(1, 2)) ** d)
-    verts: list[np.ndarray] = []
-    if np.any(ok):
-        xs = np.linalg.solve(mats[ok], rhss[ok][..., None])[..., 0]
-        resid = np.max(np.abs(np.einsum("bij,bj->bi", mats[ok], xs) - rhss[ok]), axis=1)
-        for x, r in zip(xs, resid):
-            if r > 1e-9 or not np.all(np.isfinite(x)):
-                continue
-            if p.contains(x):
-                verts.append(x)
-
+    combos = itertools.combinations(range(G.shape[0]), k)
     unique: list[np.ndarray] = []
-    for v in verts:
-        if not any(np.max(np.abs(v - u)) <= DEDUPE_TOL for u in unique):
-            unique.append(v)
+    for start in range(0, n_bases, _BASES_PER_BLOCK):
+        b = min(_BASES_PER_BLOCK, n_bases - start)
+        idx = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, b)),
+                          dtype=np.intp, count=b * k).reshape(b, k)
+        mats = np.empty((b, d, d))
+        rhss = np.empty((b, d))
+        mats[:, :n_eq] = E
+        rhss[:, :n_eq] = f
+        mats[:, n_eq:] = G[idx]
+        rhss[:, n_eq:] = h[idx]
+        with np.errstate(all="ignore"):
+            dets = np.linalg.det(mats)
+        ok = np.abs(dets) > 1e-12 * np.maximum(1.0, np.max(np.abs(mats), axis=(1, 2)) ** d)
+        mats, rhss = mats[ok], rhss[ok]
+        xs = np.linalg.solve(mats, rhss[..., None])[..., 0]
+        resid = np.max(np.abs(np.einsum("bij,bj->bi", mats, xs) - rhss), axis=1)
+        xs = xs[~(resid > 1e-9) & np.all(np.isfinite(xs), axis=1)]
+        pts = xs[p.contains(xs)]
+        # Greedy dedupe in basis order, one pass per kept vertex: the earliest
+        # remaining candidate is always kept, and drops every later one near it.
+        for u in unique:
+            pts = pts[np.max(np.abs(pts - u), axis=1) > DEDUPE_TOL]
+        while len(pts):
+            unique.append(pts[0].copy())
+            pts = pts[np.max(np.abs(pts - pts[0]), axis=1) > DEDUPE_TOL]
     return unique

@@ -362,7 +362,7 @@ def solve_g2(table: CostTable, belief) -> EquilibriumReport:
 @dataclass(frozen=True)
 class _PairProfile:
     group: tuple[int, int]
-    schemes: tuple[np.ndarray, ...]       # lex-sorted vertex schemes
+    schemes: np.ndarray                   # (n_vertices, m, n) lex-sorted vertex schemes
     principal: np.ndarray                 # (n_vertices, 2) per-state costs
     agent: np.ndarray                     # (n_vertices, 2)
 
@@ -383,7 +383,7 @@ def _pair_profiles(table: CostTable) -> tuple[_PairProfile, ...]:
             a = np.array(
                 [[g[:, i] @ table.ca[0][:, i], g[:, j] @ table.ca[1][:, j]] for g in mats]
             )
-            profiles.append(_PairProfile((i, j), tuple(mats), p, a))
+            profiles.append(_PairProfile((i, j), np.stack(mats), p, a))
     if not profiles:
         raise SolverError("no inducible response pair")
     return tuple(profiles)

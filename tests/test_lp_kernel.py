@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +15,7 @@ from incentive_games.lp_kernel import (
     lexicographic_argmin,
     solve_lp,
 )
+from incentive_games.matrix_games import CostTable, _pair_polytope
 
 
 def test_bound_active_optimum():
@@ -255,3 +259,201 @@ def test_dimension_mismatch_rejected():
         LinearProgram(objective=[1.0], bounds=[(1.0, 0.0)])
     with pytest.raises(ValueError, match="lower > upper"):
         Polytope(dim=1, bounds=[(1.0, 0.0)])
+
+
+# ---------------------------------------------------------------------------
+# batched enumeration: equivalence with a per-basis reference
+# ---------------------------------------------------------------------------
+
+
+def _naive_vertices(p: Polytope) -> list[np.ndarray]:
+    """The enumerator written one basis at a time: a min and a max LP per
+    coordinate for boundedness, one square solve per basis, the scalar
+    feasibility test, then greedy deduplication in basis order."""
+    d = p.dim
+    for t in range(d):
+        for sign in (1.0, -1.0):
+            sol = solve_lp(p.lp(sign * np.eye(d)[t]))
+            if sol.status is LpStatus.UNBOUNDED:
+                raise ValueError("polytope is unbounded")
+            if sol.status is LpStatus.INFEASIBLE:
+                return []
+    G, h = lp_kernel._inequality_system(p)
+    E, f = p.equality_matrix, p.equality_rhs
+    k = max(d - E.shape[0], 0)
+    lo = np.array([b[0] for b in p.bounds])
+    hi = np.array([b[1] for b in p.bounds])
+    verts = []
+    for combo in itertools.combinations(range(G.shape[0]), k):
+        mat = np.vstack([E, G[list(combo)]])
+        rhs = np.concatenate([f, h[list(combo)]])
+        with np.errstate(all="ignore"):
+            det = np.linalg.det(mat)
+        if not abs(det) > 1e-12 * max(1.0, np.max(np.abs(mat)) ** d):
+            continue
+        x = np.linalg.solve(mat, rhs)
+        if np.max(np.abs(np.einsum("ij,j->i", mat, x) - rhs)) > 1e-9 or not np.all(np.isfinite(x)):
+            continue
+        tol = lp_kernel.FEAS_TOL
+        if p.constraint_matrix.shape[0] and np.any(p.constraint_matrix @ x > p.rhs + tol):
+            continue
+        if E.shape[0] and np.any(np.abs(E @ x - f) > tol):
+            continue
+        if np.all(x >= lo - tol) and np.all(x <= hi + tol):
+            verts.append(x)
+    unique = []
+    for v in verts:
+        if not any(np.max(np.abs(v - u)) <= lp_kernel.DEDUPE_TOL for u in unique):
+            unique.append(v)
+    return unique
+
+
+def _outcome(enumerate_, p):
+    try:
+        return enumerate_(p)
+    except ValueError as exc:
+        return type(exc)
+
+
+def _random_polytope(rng) -> Polytope:
+    d = int(rng.integers(2, 5))
+    k = int(rng.integers(1, 4))
+    return Polytope(dim=d, constraint_matrix=rng.normal(size=(k, d)), rhs=rng.uniform(0.3, 1.5, k),
+                    equality_matrix=np.ones((1, d)), equality_rhs=[1.0])
+
+
+def _degenerate_polytope(rng) -> Polytope:
+    # small integer rows through few points: many bases share a vertex
+    d = int(rng.integers(2, 5))
+    k = int(rng.integers(1, 5))
+    return Polytope(dim=d, constraint_matrix=rng.integers(-2, 3, (k, d)), rhs=rng.integers(0, 3, k),
+                    bounds=[(0.0, 1.0)] * (d - 1) + [(-1.0, 1.0)])
+
+
+def _pair_polytope_of(rng) -> Polytope:
+    m, n = (int(v) for v in rng.integers(2, 4, 2))
+    mats = [rng.integers(0, 6, (m, n)).astype(float) for _ in range(4)]
+    table = CostTable(cp=(mats[0], mats[1]), ca=(mats[2], mats[3]))
+    return _pair_polytope(table, *(int(v) for v in rng.integers(0, n, 2)))
+
+
+def _point_polytope(rng) -> Polytope:
+    # as many equalities as variables: k = 0, one candidate basis
+    d = int(rng.integers(1, 4))
+    return Polytope(dim=d, equality_matrix=rng.integers(-2, 3, (d, d)), equality_rhs=rng.integers(-1, 3, d))
+
+
+@pytest.mark.parametrize("block", [lp_kernel._BASES_PER_BLOCK, 5])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000), st.sampled_from([_random_polytope, _degenerate_polytope,
+                                                _pair_polytope_of, _point_polytope]))
+def test_batched_enumeration_equals_the_per_basis_reference(block, seed, make):
+    p = make(np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_kernel, "_BASES_PER_BLOCK", block)
+        fast = _outcome(enumerate_vertices, p)
+    slow = _outcome(_naive_vertices, p)
+    if isinstance(slow, type):
+        assert fast is slow
+        return
+    assert len(fast) == len(slow)
+    assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
+
+
+def test_no_candidate_bases_gives_no_vertices(monkeypatch):
+    # dim - n_eq = 2 tight inequalities needed, none exist. A nonempty
+    # polytope like this is never bounded, so the probe is bypassed here.
+    p = Polytope(dim=3, bounds=[(-np.inf, np.inf)] * 3, equality_matrix=[[1.0, 1.0, 1.0]], equality_rhs=[1.0])
+    with pytest.raises(ValueError, match="unbounded"):
+        enumerate_vertices(p)
+    monkeypatch.setattr(lp_kernel, "_bounded_and_feasible", lambda p: True)
+    assert enumerate_vertices(p) == []
+
+
+def _two_by_six_pair_polytope() -> Polytope:
+    # Agent indifferent everywhere: the best-response rows are 0 <= 0, so the
+    # polytope is the product of six 2-point simplices, 64 vertices among
+    # C(22, 6) = 74,613 candidate bases.
+    cp = np.arange(12.0).reshape(2, 6)
+    return _pair_polytope(CostTable(cp=(cp, cp), ca=(np.zeros((2, 6)), np.zeros((2, 6)))), 0, 0)
+
+
+def test_enumeration_memory_is_bounded_by_the_block_size(monkeypatch):
+    p = _two_by_six_pair_polytope()
+    tracemalloc.start()
+    try:
+        blocked = enumerate_vertices(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blocked) == 64
+    assert peak < 32 * 2**20
+    monkeypatch.setattr(lp_kernel, "_BASES_PER_BLOCK", 10**6)
+    whole = enumerate_vertices(p)
+    assert len(whole) == len(blocked)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+
+
+# ---------------------------------------------------------------------------
+# boundedness probe and feasibility
+# ---------------------------------------------------------------------------
+
+_FREE = (-np.inf, np.inf)
+
+
+def test_free_variable_bounded_by_constraints_keeps_its_vertices():
+    # x free but -1 <= x <= 2 through the constraints, y in [0, 1]
+    p = Polytope(dim=2, constraint_matrix=[[1.0, 0.0], [-1.0, 0.0]], rhs=[2.0, 1.0],
+                 bounds=[_FREE, (0.0, 1.0)])
+    vs = sorted(tuple(np.round(v, 9)) for v in enumerate_vertices(p))
+    assert vs == [(-1.0, 0.0), (-1.0, 1.0), (2.0, 0.0), (2.0, 1.0)]
+
+
+def test_unbounded_free_and_upper_only_directions_rejected():
+    along_free = Polytope(dim=2, constraint_matrix=[[1.0, 0.0]], rhs=[2.0], bounds=[_FREE, (0.0, 1.0)])
+    with pytest.raises(ValueError, match="unbounded"):
+        enumerate_vertices(along_free)
+    below_upper = Polytope(dim=2, bounds=[(-np.inf, 3.0), (0.0, 1.0)])
+    with pytest.raises(ValueError, match="unbounded"):
+        enumerate_vertices(below_upper)
+
+
+def test_infeasible_polytope_with_a_free_variable_is_empty():
+    p = Polytope(dim=2, constraint_matrix=[[1.0, 0.0], [-1.0, 0.0]], rhs=[-1.0, -1.0],
+                 bounds=[_FREE, (0.0, 1.0)])
+    assert enumerate_vertices(p) == []
+
+
+def test_pair_polytope_boundedness_takes_one_lp(monkeypatch):
+    rng = np.random.default_rng(0)
+    mats = [rng.integers(0, 6, (3, 3)).astype(float) for _ in range(4)]
+    p = _pair_polytope(CostTable(cp=(mats[0], mats[1]), ca=(mats[2], mats[3])), 0, 0)
+    calls = []
+
+    def counted(lp):
+        calls.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(lp_kernel, "solve_lp", counted)
+    assert enumerate_vertices(p)
+    assert len(calls) == 1
+
+
+def test_batched_contains_matches_per_point_calls():
+    p = Polytope(dim=3, constraint_matrix=[[1.0, 1.0, 0.0], [0.3, -0.7, 0.1]], rhs=[1.0, 0.2],
+                 equality_matrix=[[1.0, 1.0, 1.0]], equality_rhs=[1.0])
+    tol = lp_kernel.FEAS_TOL
+    rng = np.random.default_rng(1)
+    points = [rng.dirichlet(np.ones(3)) for _ in range(40)]
+    # on faces (x0 + x1 = 1, x2 = 0, sum = 1) and at +-tol, +-tol/2, +-2 tol from them
+    for delta in (0.0, tol, -tol, tol / 2, -tol / 2, 2 * tol, -2 * tol):
+        points += [np.array([0.5 + delta, 0.5, 0.0]), np.array([0.5, 0.5, delta]),
+                   np.array([0.3, 0.3, 0.4 + delta])]
+    batch = np.array(points)
+    mask = p.contains(batch)
+    assert mask.dtype == bool and mask.shape == (len(points),)
+    assert mask.tolist() == [p.contains(x) for x in points]
+    assert all(type(p.contains(x)) is bool for x in points)
+    assert p.contains(np.array([0.5 + tol / 2, 0.5, 0.0]))
+    assert not p.contains(np.array([0.5 + 2 * tol, 0.5, 0.0]))
+    assert not p.contains(np.array([0.5, 0.5, -2 * tol]))
