@@ -428,8 +428,9 @@ def enumerate_vertices(p: Polytope) -> list[np.ndarray]:
     """All basic feasible solutions of a bounded polytope, deduplicated.
 
     Combinatorial active-set enumeration: every choice of dim - rank(eq)
-    inequalities, made tight together with the equalities, is solved as a
-    square system and kept if feasible; the candidate bases go through in
+    inequalities, made tight together with a maximal independent subset of
+    the equality rows (taken in row order), is solved as a square system and
+    kept if it satisfies every row; the candidate bases go through in
     lexicographic blocks of _BASES_PER_BLOCK, each one batched array
     operation per step. A candidate is a new vertex when its L-inf distance to
     every vertex kept before it, in basis order, exceeds DEDUPE_TOL.
@@ -441,9 +442,13 @@ def enumerate_vertices(p: Polytope) -> list[np.ndarray]:
         return []
 
     G, h = _inequality_system(p)
-    E, f = p.equality_matrix, p.equality_rhs
-    n_eq = E.shape[0]
-    k = max(d - n_eq, 0)
+    keep: list[int] = []
+    for r in range(p.equality_matrix.shape[0]):
+        if np.linalg.matrix_rank(p.equality_matrix[keep + [r]]) > len(keep):
+            keep.append(r)
+    E, f = p.equality_matrix[keep], p.equality_rhs[keep]
+    n_eq = len(keep)
+    k = d - n_eq
     n_bases = math.comb(G.shape[0], k)
     if n_bases > _MAX_BASES:
         raise SolverError(

@@ -15,9 +15,13 @@ Four information regimes over the same cost data:
   channel cost (costly acquisition).
 
 Agent ties break in the principal's favor throughout (the weak-inequality
-best-response constraints encode exactly that), and every reported scheme is
-canonicalized to the lexicographically smallest optimal vertex so reruns are
-reproducible bit for bit.
+best-response constraints encode exactly that). Principal ties follow one
+rule everywhere: the first candidate, in order, whose cost is within
+_OPTIMAL_TOL of the least wins (the first response pair in g2, the first
+response per state in g1, the lexicographically smallest optimal vertex
+within a pair). Every reported scheme is that vertex, so reruns are
+reproducible bit for bit. g3 at an interior prior reads only the cached
+vertex profiles: once they are built it solves no LP.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from incentive_games.belief_engine import (
 )
 from incentive_games.lp_kernel import (
     LinearProgram,
+    LpSolution,
     Polytope,
     SolverError,
     enumerate_vertices,
@@ -43,6 +48,11 @@ from incentive_games.lp_kernel import (
 )
 
 BEST_RESPONSE_TOL = 1e-8
+# Principal ties: a candidate whose cost is within this of the least is
+# optimal. It is the simplex's reduced-cost tolerance, below which an LP
+# stops and cannot tell two vertices apart, so the LP path and the vertex
+# profiles choose alike.
+_OPTIMAL_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +273,15 @@ def _scheme_key(x: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _first_optimal(solutions: list[LpSolution], what: str) -> int:
+    """Index of the first solved LP whose value is within _OPTIMAL_TOL of the
+    least: the principal's tie rule over LP values."""
+    values = np.array([s.value if s.optimal else np.inf for s in solutions])
+    if np.isinf(values.min()):
+        raise SolverError(f"no inducible {what}")
+    return int(np.argmax(values <= values.min() + _OPTIMAL_TOL))
+
+
 def solve_g1(table: CostTable, prior) -> EquilibriumReport:
     """Full-information game: per state, the principal commits to the scheme
     minimizing its cost at the induced best response; costs aggregate under
@@ -273,25 +292,20 @@ def solve_g1(table: CostTable, prior) -> EquilibriumReport:
     schemes = []
     outcomes = []
     for k in range(2):
-        best = None
+        lps = []
         for j in range(n):
             rows = _best_response_rows(table, k, j)
             c = np.zeros(m * n)
             c[j * m : (j + 1) * m] = table.cp[k][:, j]
-            lp = LinearProgram(
+            lps.append(LinearProgram(
                 objective=c,
                 constraint_matrix=rows,
                 rhs=np.zeros(rows.shape[0]),
                 equality_matrix=eq,
                 equality_rhs=eqr,
-            )
-            sol = solve_lp(lp)
-            if sol.optimal and (best is None or sol.value < best[0]):
-                best = (sol.value, j, lp)
-        if best is None:
-            raise SolverError(f"no inducible agent response in state {k}")
-        value, j, lp = best
-        canon = lexicographic_argmin(lp)
+            ))
+        j = _first_optimal([solve_lp(lp) for lp in lps], f"agent response in state {k}")
+        canon = lexicographic_argmin(lps[j])
         gamma = _to_matrix(canon.point, m, n)
         principal_cost = float(gamma[:, j] @ table.cp[k][:, j])
         agent_cost = float(gamma[:, j] @ table.ca[k][:, j])
@@ -321,21 +335,15 @@ def _pair_objective(table: CostTable, i: int, j: int, mu: float) -> np.ndarray:
 
 def solve_g2(table: CostTable, belief) -> EquilibriumReport:
     """Bayesian game: one state-independent scheme; the response pair with
-    the cheapest induced (feasible) scheme wins, first pair on ties."""
+    the cheapest induced (feasible) scheme wins, the first pair within
+    _OPTIMAL_TOL of the least on ties."""
     mu = as_probability(belief)
     m, n = table.m, table.n
-    best = None
-    for i in range(n):
-        for j in range(n):
-            poly = _pair_polytope(table, i, j)
-            lp = poly.lp(_pair_objective(table, i, j, mu))
-            sol = solve_lp(lp)
-            if sol.optimal and (best is None or sol.value < best[0]):
-                best = (sol.value, (i, j), lp)
-    if best is None:
-        raise SolverError("no inducible response pair")
-    value, (i, j), lp = best
-    canon = lexicographic_argmin(lp)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    lps = [_pair_polytope(table, i, j).lp(_pair_objective(table, i, j, mu)) for i, j in pairs]
+    best = _first_optimal([solve_lp(lp) for lp in lps], "response pair")
+    i, j = pairs[best]
+    canon = lexicographic_argmin(lps[best])
     gamma = _to_matrix(canon.point, m, n)
     outcomes = []
     for k, rec in enumerate((i, j)):
@@ -389,9 +397,6 @@ def _pair_profiles(table: CostTable) -> tuple[_PairProfile, ...]:
     return tuple(profiles)
 
 
-_TIE_TOL = 1e-12
-
-
 def _curves_from_profiles(
     profiles: tuple[_PairProfile, ...], beliefs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -403,14 +408,14 @@ def _curves_from_profiles(
     for prof in profiles:
         v = prof.principal[:, :1] @ mu + prof.principal[:, 1:] @ (1.0 - mu)
         vmin = v.min(axis=0)
-        first = np.argmax(v <= vmin + _TIE_TOL, axis=0)     # lex-smallest vertex
+        first = np.argmax(v <= vmin + _OPTIMAL_TOL, axis=0)  # lex-smallest vertex
         a = prof.agent[first, 0] * beliefs + prof.agent[first, 1] * (1.0 - beliefs)
         pair_vals.append(vmin)
         pair_agent.append(a)
     vals = np.vstack(pair_vals)
     agents = np.vstack(pair_agent)
     jp2 = vals.min(axis=0)
-    chosen = np.argmax(vals <= jp2 + _TIE_TOL, axis=0)      # first pair in lex order
+    chosen = np.argmax(vals <= jp2 + _OPTIMAL_TOL, axis=0)   # first pair in lex order
     ja2 = agents[chosen, np.arange(beliefs.shape[0])]
     return jp2, ja2
 
@@ -487,27 +492,6 @@ def collect_xi(table: CostTable) -> XiCollection:
 # ---------------------------------------------------------------------------
 
 
-def _uninformative_report(g2: EquilibriumReport, prior: float) -> PersuasionReport:
-    rec = RecommendedScheme(
-        group=g2.agent_actions,
-        scheme=g2.scheme.columns,
-        prob_given_state=(1.0, 1.0),
-        posterior=prior,
-    )
-    return PersuasionReport(
-        recommendation_distribution=(rec,),
-        split=PosteriorSplit(((prior, 1.0),)),
-        principal_cost=g2.principal_cost,
-        agent_cost=g2.agent_cost,
-        prior=prior,
-    )
-
-
-# Principal ties in g3 are resolved at the simplex's reduced-cost tolerance, so
-# the vertex that solve_g2's LPs stop at is principal-optimal here as well.
-_OPTIMAL_TOL = 1e-9
-
-
 def _principal_breakpoints(principal: np.ndarray) -> list[float]:
     """Beliefs in (0, 1) where min over rows (p0, p1) of mu*p0 + (1 - mu)*p1
     changes line. The walk starts at mu = 0 and moves each time to the
@@ -515,7 +499,7 @@ def _principal_breakpoints(principal: np.ndarray) -> list[float]:
     the slope falls at every step; each step is O(lines)."""
     lines = np.unique(principal, axis=0)
     start, slope = lines[:, 1], lines[:, 0] - lines[:, 1]
-    cur = np.flatnonzero(start <= start.min() + _TIE_TOL)
+    cur = np.flatnonzero(start <= start.min() + _OPTIMAL_TOL)
     cur = cur[np.argmin(slope[cur])]
     x, out = 0.0, []
     while (lower := np.flatnonzero(slope < slope[cur])).size:
@@ -548,15 +532,17 @@ def solve_g3(table: CostTable, prior) -> PersuasionReport:
       convex order and so has the least sum of w * jp2 (jp2 is concave).
     - A split whose agent and principal costs equal ja*(mu) and jp2(mu)
       within 1e-9 buys nothing; the report is the single atom at mu.
-    - At mu = 0 or 1, or when the costs equal solve_g2's within 1e-9, the
-      report is solve_g2's scheme.
     - Each atom recommends the first vertex, in _pair_profiles order, that
       is principal-optimal there and has the least agent cost.
+    - At mu = 0 or 1 no split is possible and g3 is g2: the report is
+      solve_g2's scheme. Elsewhere g3 solves no LP beyond building the
+      cached profiles.
     """
     mu = as_probability(prior)
-    g2_here = solve_g2(table, mu)
     if mu <= 0.0 or mu >= 1.0:
-        return _uninformative_report(g2_here, mu)
+        g2 = solve_g2(table, mu)
+        rec = RecommendedScheme(g2.agent_actions, g2.scheme.columns, (1.0, 1.0), mu)
+        return PersuasionReport((rec,), PosteriorSplit(((mu, 1.0),)), g2.principal_cost, g2.agent_cost, mu)
 
     profiles = _pair_profiles(table)
     principal = np.vstack([prof.principal for prof in profiles])
@@ -571,11 +557,6 @@ def solve_g3(table: CostTable, prior) -> PersuasionReport:
     agent_value, atoms = envelope_from_samples(beliefs, ja, mu)
     idx = np.searchsorted(beliefs, [p for p, _ in atoms])
     principal_value = float(sum(w * jp2[t] for (_, w), t in zip(atoms, idx)))
-    if (
-        abs(agent_value - g2_here.agent_cost) <= 1e-9
-        and abs(principal_value - g2_here.principal_cost) <= 1e-9
-    ):
-        return _uninformative_report(g2_here, mu)
     t = int(np.searchsorted(beliefs, mu))
     if abs(agent_value - ja[t]) <= 1e-9 and abs(principal_value - jp2[t]) <= 1e-9:
         atoms, idx = ((mu, 1.0),), [t]

@@ -267,21 +267,34 @@ def test_beta_grid_errors_carry_file_and_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}:7: kappa must be")
 
 
-def test_capacity_limit_is_a_solver_error(tmp_path, capsys):
-    # every 4x4 response-pair polytope has C(22, 12) = 646646 candidate bases
+def _four_by_four(tmp_path, prior: float):
     rng = np.random.default_rng(4)
     doc = {
         "kind": "matrix",
         "cp": rng.integers(0, 6, (2, 4, 4)).tolist(),
         "ca": rng.integers(0, 6, (2, 4, 4)).tolist(),
-        "prior": 0.5,
+        "prior": prior,
     }
     path = tmp_path / "four_by_four.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_capacity_limit_is_a_solver_error(tmp_path, capsys):
+    # every 4x4 response-pair polytope has C(22, 12) = 646646 candidate bases
+    path = _four_by_four(tmp_path, 0.5)
     assert run("g3", str(path)) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver error:")
     assert "646646 bases" in err
+
+
+def test_lp_path_answers_where_the_vertex_profiles_cannot(tmp_path, capsys):
+    # g1, g2 and g3 at a degenerate prior solve LPs, not the vertex profiles
+    # that a 4x4 table exceeds, so they still answer
+    path = _four_by_four(tmp_path, 0.0)
+    for command in ("g1", "g2", "g3"):
+        assert run_json(capsys, command, str(path))["game"] == command
 
 
 def test_explicit_grid_sets_qg_sweep_length(capsys):

@@ -7,8 +7,12 @@ outputs on purpose regenerates the file and says which lines changed and why.
 To regenerate, from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It rewrites only the files whose content changed and prints a unified diff
+of each one, which lists the moved lines.
 """
 
+import difflib
 import io
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -57,4 +61,13 @@ def test_cli_output_matches_golden(argv):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for argv in COMMANDS:
-        (GOLDEN / golden_name(argv)).write_text(stdout_of(argv))
+        path = GOLDEN / golden_name(argv)
+        old = path.read_text() if path.exists() else ""
+        new = stdout_of(argv)
+        if new != old:
+            rel = path.relative_to(GOLDEN.parent.parent)
+            print("".join(difflib.unified_diff(
+                old.splitlines(keepends=True), new.splitlines(keepends=True),
+                fromfile=f"a/{rel}", tofile=f"b/{rel}",
+            )), end="")
+            path.write_text(new)

@@ -17,6 +17,11 @@ from incentive_games.lp_kernel import (
 )
 from incentive_games.matrix_games import CostTable, _pair_polytope
 
+try:  # test-only reference solver; the package itself needs only numpy
+    from scipy.optimize import linprog
+except ImportError:
+    linprog = None
+
 
 def test_bound_active_optimum():
     sol = solve_lp(LinearProgram(objective=[1.0]))
@@ -55,6 +60,67 @@ def test_redundant_equalities_handled():
     assert sol.status is LpStatus.OPTIMAL
     assert sol.value == pytest.approx(1.0, abs=1e-10)
     assert sol.point == pytest.approx([0.0, 1.0], abs=1e-10)
+
+
+@st.composite
+def _lps(draw) -> LinearProgram:
+    # two-decimal entries, so ties and degenerate vertices are common but no
+    # coefficient sits near either solver's zero threshold
+    d = draw(st.integers(1, 4))
+    num = st.integers(-300, 300).map(lambda v: v / 100)
+
+    def block(rows: int, cols: int) -> np.ndarray:
+        return np.array(draw(st.lists(num, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+
+    k, e = draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    bound = st.sampled_from([(0.0, np.inf), (-np.inf, np.inf), (-1.0, 2.0), (-np.inf, 1.0), (0.5, 0.5)])
+    return LinearProgram(
+        objective=block(1, d)[0],
+        constraint_matrix=block(k, d),
+        rhs=block(1, k)[0],
+        equality_matrix=block(e, d),
+        equality_rhs=block(1, e)[0],
+        bounds=draw(st.lists(bound, min_size=d, max_size=d)),
+    )
+
+
+@pytest.mark.skipif(linprog is None, reason="scipy is not installed")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_lps())
+def test_solve_lp_agrees_with_highs(lp):
+    sol = solve_lp(lp)
+    res = linprog(
+        lp.objective,
+        A_ub=lp.constraint_matrix if lp.constraint_matrix.shape[0] else None,
+        b_ub=lp.rhs if lp.rhs.shape[0] else None,
+        A_eq=lp.equality_matrix if lp.equality_matrix.shape[0] else None,
+        b_eq=lp.equality_rhs if lp.equality_rhs.shape[0] else None,
+        bounds=[(None if np.isinf(lo) else lo, None if np.isinf(hi) else hi) for lo, hi in lp.bounds],
+        method="highs",
+        # HiGHS's presolve calls some feasible unbounded LPs infeasible
+        # (e.g. min -2.17 x0 + 1.56 x1 - 0.96 x2 under three rows of this
+        # strategy with x1 <= 1); its simplex alone does not
+        options={"presolve": False},
+    )
+    want = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}[res.status]
+    assert sol.status is want
+    if sol.optimal:
+        assert sol.value == pytest.approx(res.fun, abs=1e-7 * max(1.0, abs(res.fun)))
+
+
+def test_more_equality_rows_than_variables():
+    # three consistent rows of rank 2 pin the single point (0.5, 0.5)
+    p = Polytope(dim=2, equality_matrix=[[1, 0], [0, 1], [1, 1]], equality_rhs=[0.5, 0.5, 1])
+    assert [v.tolist() for v in enumerate_vertices(p)] == [[0.5, 0.5]]
+    inconsistent = Polytope(dim=2, equality_matrix=[[1, 0], [0, 1], [1, 1]], equality_rhs=[0.5, 0.5, 2])
+    assert enumerate_vertices(inconsistent) == []
+
+
+def test_dependent_equality_rows_keep_the_segment():
+    # the second row repeats the first, so the polytope is the segment
+    # (1, 0)-(0, 1) and one tight bound makes each vertex
+    p = Polytope(dim=2, equality_matrix=[[1, 1], [2, 2]], equality_rhs=[1, 2])
+    assert [v.tolist() for v in enumerate_vertices(p)] == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_free_and_upper_bounded_variables():
@@ -268,8 +334,10 @@ def test_dimension_mismatch_rejected():
 
 def _naive_vertices(p: Polytope) -> list[np.ndarray]:
     """The enumerator written one basis at a time: a min and a max LP per
-    coordinate for boundedness, one square solve per basis, the scalar
-    feasibility test, then greedy deduplication in basis order."""
+    coordinate for boundedness, the equality rows that raise the rank of
+    the rows before them, one square solve per basis, the scalar
+    feasibility test on every row, then greedy deduplication in basis
+    order."""
     d = p.dim
     for t in range(d):
         for sign in (1.0, -1.0):
@@ -280,13 +348,15 @@ def _naive_vertices(p: Polytope) -> list[np.ndarray]:
                 return []
     G, h = lp_kernel._inequality_system(p)
     E, f = p.equality_matrix, p.equality_rhs
-    k = max(d - E.shape[0], 0)
+    ranks = [0] + [np.linalg.matrix_rank(E[: r + 1]) for r in range(E.shape[0])]
+    basic = [r for r in range(E.shape[0]) if ranks[r + 1] > ranks[r]]
+    k = d - len(basic)
     lo = np.array([b[0] for b in p.bounds])
     hi = np.array([b[1] for b in p.bounds])
     verts = []
     for combo in itertools.combinations(range(G.shape[0]), k):
-        mat = np.vstack([E, G[list(combo)]])
-        rhs = np.concatenate([f, h[list(combo)]])
+        mat = np.vstack([E[basic], G[list(combo)]])
+        rhs = np.concatenate([f[basic], h[list(combo)]])
         with np.errstate(all="ignore"):
             det = np.linalg.det(mat)
         if not abs(det) > 1e-12 * max(1.0, np.max(np.abs(mat)) ** d):

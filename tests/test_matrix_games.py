@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incentive_games import lp_kernel
+from incentive_games import lp_kernel, matrix_games
 from incentive_games.belief_engine import envelope_from_samples
 from incentive_games.lp_kernel import Polytope, enumerate_vertices
 from incentive_games.matrix_games import (
     CostTable,
     IncentiveScheme,
     _pair_polytope,
+    _pair_profiles,
     _scheme_key,
     _to_matrix,
     agent_value_curve,
@@ -36,6 +37,23 @@ def _tables(n: int):
             cp=np.array(v[: 2 * n * n], dtype=float).reshape(2, n, n),
             ca=np.array(v[2 * n * n :], dtype=float).reshape(2, n, n),
         )
+    )
+
+
+def _small_tables():
+    """Tables from 2x2 to 3x3, real-valued or integer-valued (ties)."""
+
+    def of(m, n, entry):
+        count = 4 * m * n
+        return st.lists(entry, min_size=count, max_size=count).map(
+            lambda v: CostTable(
+                cp=np.array(v[: 2 * m * n], dtype=float).reshape(2, m, n),
+                ca=np.array(v[2 * m * n :], dtype=float).reshape(2, m, n),
+            )
+        )
+
+    return st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]).flatmap(
+        lambda mn: st.one_of(of(*mn, _entry), of(*mn, st.integers(0, 5)))
     )
 
 
@@ -252,6 +270,56 @@ def test_curves_match_direct_solves(table_a, table_b):
             assert ja[t] == pytest.approx(r.agent_cost, abs=1e-9)
 
 
+def _curve_pair(table: CostTable, mu: float) -> tuple[int, int]:
+    """The response pair behind value_curves at mu: the first pair whose
+    least principal value is within the tie tolerance of the least."""
+    profiles = _pair_profiles(table)
+    vals = np.array([min(mu * p0 + (1.0 - mu) * p1 for p0, p1 in prof.principal) for prof in profiles])
+    return profiles[int(np.argmax(vals <= vals.min() + matrix_games._OPTIMAL_TOL))].group
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_small_tables())
+def test_g2_equals_the_value_curves_at_every_grid_point(table):
+    xs, jp, ja = value_curves(table, 11)
+    for t, mu in enumerate(xs):
+        r = solve_g2(table, mu)
+        assert r.principal_cost == pytest.approx(jp[t], abs=1e-9)
+        assert r.agent_cost == pytest.approx(ja[t], abs=1e-9)
+        assert r.agent_actions == _curve_pair(table, mu)
+
+
+def test_g2_and_the_curve_agree_where_lp_round_off_split_them():
+    # At belief 0.5 pairs (1, 0) and (1, 1) both cost the principal 1.5 at
+    # best; the first pair's scheme costs the agent 2.5, the second's 3.5.
+    # The LP of pair (1, 0) ends at 1.5000000000000004, so a strict
+    # comparison of LP values would pick pair (1, 1).
+    table = CostTable(
+        cp=([[5, 0], [2, 3]], [[0, 3], [2, 4]]),
+        ca=([[5, 4], [5, 0]], [[5, 3], [5, 5]]),
+    )
+    xs, jp, ja = value_curves(table, 3)
+    r = solve_g2(table, 0.5)
+    assert r.agent_actions == (1, 0)
+    assert ja[1] == pytest.approx(2.5, abs=1e-12)
+    assert r.agent_cost == pytest.approx(2.5, abs=1e-12)
+    assert r.principal_cost == pytest.approx(jp[1], abs=1e-12)
+
+
+def test_g2_and_the_curve_agree_below_the_simplex_tolerance():
+    # Pair (0, 0)'s best scheme costs the principal -2.57e-12 at belief 0.5,
+    # below the simplex's reduced-cost tolerance, so its LP may stop at cost 0.
+    # One 1e-9 tie rule lets both paths pick the same first scheme.
+    table = CostTable(
+        cp=([[0, -5.14322352e-12], [0, 0]], [[0, 0], [0, 0]]),
+        ca=([[0, 1], [1, 0]], [[0, 0], [0, 0]]),
+    )
+    xs, jp, ja = value_curves(table, 3)
+    r = solve_g2(table, 0.5)
+    assert r.principal_cost == pytest.approx(jp[1], abs=1e-9)
+    assert r.agent_cost == ja[1] == 0.5
+
+
 def test_principal_curve_midpoint_concavity(table_a, table_b):
     for table in (table_a, table_b):
         _, vals = principal_value_curve(table, 401)
@@ -395,6 +463,24 @@ def test_g3_properties_random(table, prior):
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
+def test_g3_at_an_interior_prior_solves_no_lp(table_b, monkeypatch):
+    _pair_profiles(table_b)
+    calls = []
+    real = lp_kernel.solve_lp
+
+    def counted(lp):
+        calls.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(lp_kernel, "solve_lp", counted)
+    monkeypatch.setattr(matrix_games, "solve_lp", counted)
+    for prior in (0.3, 0.75):
+        solve_g3(table_b, prior)
+    assert calls == []
+    solve_g3(table_b, 1.0)      # g3 is g2 at a degenerate prior: LPs, counted
+    assert calls
+
+
 # A real-valued 4x2 table on which phase one of g3's former stage-2 obedience
 # LP took ratios from rows whose rhs had drifted below zero, lost feasibility
 # and ran for more than 60,000 pivots without finishing.
@@ -417,7 +503,7 @@ DRIFTING_TABLE = CostTable(
 def test_g3_solves_where_phase_one_drifted(monkeypatch):
     # the default pivot cap would stop a run like the old one after ~5,000
     # pivots; with a cap of 2 per tableau line, the simplex runs that remain
-    # (solve_g2 and the vertex enumeration) still finish
+    # (the vertex enumeration behind solve_g3, and solve_g2 below) still finish
     monkeypatch.setattr(lp_kernel, "_PIVOTS_PER_LINE", 2)
     prior = 0.629498698921407
     r = solve_g3(DRIFTING_TABLE, prior)
@@ -506,9 +592,9 @@ def test_g4_never_beats_free_information(table_a):
 
 def test_g4_agent_cost_follows_the_g2_curve_at_ties():
     # At belief 1 the principal's best schemes tie across response pairs.
-    # The curve's tie rule picks agent cost 3 there (4 at belief 0), so the
-    # fully revealing split costs the agent 3.5; the LP-based solve_g2 picks
-    # agent cost 5 at belief 1 instead.
+    # The tie rule picks agent cost 3 there (4 at belief 0), so the fully
+    # revealing split costs the agent 3.5. solve_g2 picks the same pair at
+    # belief 1, not a later one with agent cost 5 that LP round-off favours.
     table = CostTable(
         cp=([[1, 5], [2, 1]], [[1, 0], [2, 0]]),
         ca=([[3, 5], [5, 5]], [[1, 1], [4, 5]]),
@@ -518,6 +604,7 @@ def test_g4_agent_cost_follows_the_g2_curve_at_ties():
     _, ja = agent_value_curve(table, 401)
     assert r.agent_cost == pytest.approx(0.5 * ja[0] + 0.5 * ja[-1], abs=1e-12)
     assert r.agent_cost == pytest.approx(3.5, abs=1e-12)
+    assert solve_g2(table, 1.0).agent_cost == pytest.approx(ja[-1], abs=1e-12)
 
 
 def test_g4_input_validation(table_b):
