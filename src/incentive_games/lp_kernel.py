@@ -4,13 +4,14 @@ Everything here is deliberately small-scale: a scheme of an m x n table has
 m * n variables (16 for 4 x 4), so a two-phase tableau simplex with Bland's
 rule (deterministic, cycle-free in exact arithmetic, each pivot one outer
 product) and combinatorial vertex enumeration are both exact enough and fast
-enough. Enumeration checks boundedness with one LP (two more per free
-variable), then solves the candidate bases in fixed-size blocks of batched
-square systems, tests them with one feasibility rule (Polytope.contains) and
-deduplicates in basis order. Re-running any routine on the same input is
-bit-identical. Where either one cannot finish (a capped pivot count, a
-capped number of bases) it raises SolverError rather than reporting the
-input as invalid.
+enough. Every variable is a probability, so x >= 0 is the only variable
+domain: each tableau column is a variable of the caller's LP, with no shift,
+mirror or split in between. Enumeration checks boundedness with one LP, then
+solves the candidate bases in fixed-size blocks of batched square systems,
+tests them with one feasibility rule (Polytope.contains) and deduplicates in
+basis order. Re-running any routine on the same input is bit-identical.
+Where either one cannot finish (a capped pivot count, a capped number of
+bases) it raises SolverError rather than reporting the input as invalid.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -49,6 +49,8 @@ def _as_matrix(a, cols: int, name: str) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[1] != cols:
         raise ValueError(f"{name} must be a 2-D array with {cols} columns, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} must be finite")
     return m
 
 
@@ -68,29 +70,22 @@ def _set_constraints(obj, d: int) -> None:
     LinearProgram and Polytope share, for `d` variables."""
     a = _as_matrix(obj.constraint_matrix, d, "constraint_matrix")
     e = _as_matrix(obj.equality_matrix, d, "equality_matrix")
-    bounds = list(obj.bounds) if obj.bounds is not None else [(0.0, np.inf)] * d
-    if len(bounds) != d:
-        raise ValueError(f"bounds must have length {d}")
-    if any(lo > hi for lo, hi in bounds):
-        raise ValueError("bound lower > upper")
     object.__setattr__(obj, "constraint_matrix", a)
     object.__setattr__(obj, "rhs", _as_vector(obj.rhs, a.shape[0], "rhs"))
     object.__setattr__(obj, "equality_matrix", e)
     object.__setattr__(obj, "equality_rhs", _as_vector(obj.equality_rhs, e.shape[0], "equality_rhs"))
-    object.__setattr__(obj, "bounds", tuple((float(lo), float(hi)) for lo, hi in bounds))
 
 
 @dataclass(frozen=True)
 class LinearProgram:
     """min objective @ x  s.t.  constraint_matrix @ x <= rhs,
-    equality_matrix @ x = equality_rhs, bounds (default x >= 0)."""
+    equality_matrix @ x = equality_rhs, x >= 0."""
 
     objective: np.ndarray
     constraint_matrix: np.ndarray | None = None
     rhs: np.ndarray | None = None
     equality_matrix: np.ndarray | None = None
     equality_rhs: np.ndarray | None = None
-    bounds: Sequence[tuple[float, float]] | None = None
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float).reshape(-1)
@@ -117,15 +112,14 @@ class LpSolution:
 
 @dataclass(frozen=True)
 class Polytope:
-    """A bounded feasible region; same constraint data as LinearProgram minus
-    the objective."""
+    """A bounded feasible region in x >= 0; same constraint data as
+    LinearProgram minus the objective."""
 
     dim: int
     constraint_matrix: np.ndarray | None = None
     rhs: np.ndarray | None = None
     equality_matrix: np.ndarray | None = None
     equality_rhs: np.ndarray | None = None
-    bounds: Sequence[tuple[float, float]] | None = None
 
     def __post_init__(self):
         d = int(self.dim)
@@ -134,6 +128,11 @@ class Polytope:
         object.__setattr__(self, "dim", d)
         _set_constraints(self, d)
 
+    @property
+    def bounds(self) -> tuple[tuple[float, float], ...]:
+        """Per-variable (lower, upper) bounds: always x >= 0."""
+        return ((0.0, math.inf),) * self.dim
+
     def lp(self, objective) -> LinearProgram:
         return LinearProgram(
             objective=objective,
@@ -141,80 +140,26 @@ class Polytope:
             rhs=self.rhs,
             equality_matrix=self.equality_matrix,
             equality_rhs=self.equality_rhs,
-            bounds=self.bounds,
         )
 
-    def contains(self, x: np.ndarray, tol: float = FEAS_TOL) -> bool | np.ndarray:
-        """Whether a point (d,) lies in the polytope within `tol`; for a batch
-        (B, d), a mask over its rows. Each row's products are summed the
+    def contains(self, x: np.ndarray) -> bool | np.ndarray:
+        """Whether a point (d,) lies in the polytope within FEAS_TOL; for a
+        batch (B, d), a mask over its rows. Each row's products are summed the
         same way whatever the batch, so a row's answer never depends on it."""
         x = np.asarray(x, dtype=float)
         pts = np.atleast_2d(x)
-        lo = np.array([b[0] for b in self.bounds])
-        hi = np.array([b[1] for b in self.bounds])
-        ok = np.all(pts >= lo - tol, axis=1) & np.all(pts <= hi + tol, axis=1)
+        ok = np.all(pts >= -FEAS_TOL, axis=1)
         if self.constraint_matrix.shape[0]:
-            ok &= ~np.any(np.einsum("bj,ij->bi", pts, self.constraint_matrix) > self.rhs + tol, axis=1)
+            ok &= ~np.any(np.einsum("bj,ij->bi", pts, self.constraint_matrix) > self.rhs + FEAS_TOL, axis=1)
         if self.equality_matrix.shape[0]:
             resid = np.einsum("bj,ij->bi", pts, self.equality_matrix) - self.equality_rhs
-            ok &= ~np.any(np.abs(resid) > tol, axis=1)
+            ok &= ~np.any(np.abs(resid) > FEAS_TOL, axis=1)
         return bool(ok[0]) if x.ndim < 2 else ok
 
 
 # ---------------------------------------------------------------------------
 # simplex
 # ---------------------------------------------------------------------------
-
-
-def _to_standard_form(lp: LinearProgram):
-    """Rewrite as min c'y s.t. A y <= b, E y = f, y >= 0.
-
-    Shifts finite lower bounds, mirrors upper-bounded-only variables, splits
-    free variables. Returns (c, A, b, E, f, recover) where recover(y) maps
-    standard-form points back to original coordinates.
-    """
-    d = lp.dim
-    shift = np.zeros(d)
-    extra_rows: list[np.ndarray] = []
-    extra_rhs: list[float] = []
-    col_maps = []                 # (orig index, sign) per standard variable
-
-    for idx, (lo, hi) in enumerate(lp.bounds):
-        if np.isfinite(lo):
-            shift[idx] = lo
-            col_maps.append((idx, 1.0))
-            if np.isfinite(hi):
-                row = np.zeros(d)
-                row[idx] = 1.0
-                extra_rows.append(row)
-                extra_rhs.append(hi)          # x_idx <= hi, becomes y <= hi - lo after shift
-        elif np.isfinite(hi):
-            shift[idx] = hi
-            col_maps.append((idx, -1.0))      # x = hi - y
-        else:
-            col_maps.append((idx, 1.0))
-            col_maps.append((idx, -1.0))      # x = y+ - y-
-
-    n_std = len(col_maps)
-    T = np.zeros((d, n_std))                  # x = shift + T y
-    for j, (idx, sign) in enumerate(col_maps):
-        T[idx, j] = sign
-
-    A0 = lp.constraint_matrix
-    b0 = lp.rhs
-    if extra_rows:
-        A0 = np.vstack([A0, np.array(extra_rows)]) if A0.shape[0] else np.array(extra_rows)
-        b0 = np.concatenate([b0, np.array(extra_rhs)])
-    A = A0 @ T
-    b = b0 - A0 @ shift
-    E = lp.equality_matrix @ T
-    f = lp.equality_rhs - lp.equality_matrix @ shift
-    c = lp.objective @ T
-
-    def recover(y: np.ndarray) -> np.ndarray:
-        return shift + T @ y
-
-    return c, A, b, E, f, recover
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -272,16 +217,9 @@ def _bland_simplex(tableau: np.ndarray, basis: np.ndarray, n_vars: int):
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Two-phase dense simplex (Bland's rule). Deterministic; minimization."""
-    c, A, b, E, f, recover = _to_standard_form(lp)
-    n = c.shape[0]
+    c, A, b, E, f = lp.objective, lp.constraint_matrix, lp.rhs, lp.equality_matrix, lp.equality_rhs
+    n = lp.dim
     m = A.shape[0] + E.shape[0]
-    if m == 0:
-        # only nonnegativity; optimum is at the origin unless c points down
-        if np.any(c < -_PIVOT_TOL):
-            return LpSolution(LpStatus.UNBOUNDED)
-        x = recover(np.zeros(n))
-        return LpSolution(LpStatus.OPTIMAL, x, float(lp.objective @ x))
-
     n_slack = A.shape[0]                    # inequality rows come first
     n_real = n + n_slack
     brhs = np.concatenate([b, f])
@@ -332,7 +270,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     y = np.zeros(n_total)
     y[basis] = tab[:m, -1]
-    x = recover(y[:n])
+    x = y[:n] + 0.0                       # no -0.0 in the reported point
     value = float(lp.objective @ x)
     return LpSolution(LpStatus.OPTIMAL, x, value)
 
@@ -357,7 +295,6 @@ def lexicographic_argmin(lp: LinearProgram) -> LpSolution:
             rhs=lp.rhs,
             equality_matrix=np.vstack([m for m in eq if m.shape[0]]),
             equality_rhs=np.concatenate(eqr),
-            bounds=lp.bounds,
         )
         sol = solve_lp(sub)
         if not sol.optimal:       # numerically pinned face became empty; keep last point
@@ -381,54 +318,25 @@ _MAX_BASES = 400_000
 _BASES_PER_BLOCK = 8192
 
 
-def _inequality_system(p: Polytope):
-    """All inequalities as G x <= h (bound rows included)."""
-    rows = [p.constraint_matrix] if p.constraint_matrix.shape[0] else []
-    rhs = [p.rhs] if p.rhs.shape[0] else []
-    d = p.dim
-    for idx, (lo, hi) in enumerate(p.bounds):
-        if np.isfinite(lo):
-            row = np.zeros((1, d))
-            row[0, idx] = -1.0
-            rows.append(row)
-            rhs.append(np.array([-lo]))
-        if np.isfinite(hi):
-            row = np.zeros((1, d))
-            row[0, idx] = 1.0
-            rows.append(row)
-            rhs.append(np.array([hi]))
-    if rows:
-        return np.vstack(rows), np.concatenate(rhs)
-    return np.zeros((0, d)), np.zeros(0)
-
-
 def _bounded_and_feasible(p: Polytope) -> bool:
     """False for an empty polytope; ValueError for an unbounded one.
 
-    One LP pushes every coordinate away from its finite bound: it maximizes
-    the sum of y_t = x_t - lo_t (finite lower bound) and y_t = hi_t - x_t
-    (upper bound only). Every y_t is >= 0, so a finite maximum of their sum
-    bounds each y_t, and with it each such coordinate on both sides;
-    conversely an unbounded y_t makes the LP unbounded. Its phase one decides
-    feasibility. A free coordinate has no such y_t and gets its own two LPs.
+    One LP maximizes the sum of the coordinates. Every x_t is >= 0, so a
+    finite maximum bounds each x_t; conversely an unbounded x_t makes the LP
+    unbounded. Its phase one decides feasibility.
     """
-    push = np.array([-1.0 if np.isfinite(lo) else 1.0 if np.isfinite(hi) else 0.0
-                     for lo, hi in p.bounds])
-    free = np.eye(p.dim)[push == 0.0]
-    for c in [push, *free, *-free]:
-        sol = solve_lp(p.lp(c))
-        if sol.status is LpStatus.UNBOUNDED:
-            raise ValueError("polytope is unbounded")
-        if sol.status is LpStatus.INFEASIBLE:
-            return False
-    return True
+    sol = solve_lp(p.lp(-np.ones(p.dim)))
+    if sol.status is LpStatus.UNBOUNDED:
+        raise ValueError("polytope is unbounded")
+    return sol.status is LpStatus.OPTIMAL
 
 
 def enumerate_vertices(p: Polytope) -> list[np.ndarray]:
     """All basic feasible solutions of a bounded polytope, deduplicated.
 
     Combinatorial active-set enumeration: every choice of dim - rank(eq)
-    inequalities, made tight together with a maximal independent subset of
+    inequalities (the constraint rows, then -x_t <= 0 for each t in order),
+    made tight together with a maximal independent subset of
     the equality rows (taken in row order), is solved as a square system and
     kept if it satisfies every row; the candidate bases go through in
     lexicographic blocks of _BASES_PER_BLOCK, each one batched array
@@ -441,7 +349,8 @@ def enumerate_vertices(p: Polytope) -> list[np.ndarray]:
     if not _bounded_and_feasible(p):
         return []
 
-    G, h = _inequality_system(p)
+    G = np.vstack([p.constraint_matrix, -np.eye(d)])    # x >= 0 as -x <= 0
+    h = np.concatenate([p.rhs, np.zeros(d)])
     keep: list[int] = []
     for r in range(p.equality_matrix.shape[0]):
         if np.linalg.matrix_rank(p.equality_matrix[keep + [r]]) > len(keep):

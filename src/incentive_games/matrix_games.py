@@ -449,19 +449,11 @@ def agent_value_curve(table: CostTable, grid_size: int) -> tuple[np.ndarray, np.
 
 
 @dataclass(frozen=True)
-class XiEntry:
-    scheme: np.ndarray
-    groups: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
 class XiCollection:
     """Vertices of every response-pair polytope, grouped by pair (a pair
-    whose polytope is empty maps to ()), plus a deduplicated view that keeps
-    group membership."""
+    whose polytope is empty maps to ())."""
 
     groups: dict[tuple[int, int], tuple[np.ndarray, ...]]
-    unique: tuple[XiEntry, ...]
 
 
 def collect_xi(table: CostTable) -> XiCollection:
@@ -470,21 +462,7 @@ def collect_xi(table: CostTable) -> XiCollection:
     groups = {(i, j): () for i in range(table.n) for j in range(table.n)}
     for prof in _pair_profiles(table):
         groups[prof.group] = tuple(sorted(prof.schemes, key=_scheme_key))
-    seen: dict[tuple, list[tuple[int, int]]] = {}
-    order: list[tuple] = []
-    reps: dict[tuple, np.ndarray] = {}
-    for g, mats in groups.items():
-        for mat in mats:
-            key = _scheme_key(mat)
-            if key not in seen:
-                seen[key] = []
-                order.append(key)
-                reps[key] = mat
-            seen[key].append(g)
-    unique = tuple(
-        XiEntry(scheme=reps[k], groups=tuple(sorted(seen[k]))) for k in sorted(order)
-    )
-    return XiCollection(groups=groups, unique=unique)
+    return XiCollection(groups=groups)
 
 
 # ---------------------------------------------------------------------------

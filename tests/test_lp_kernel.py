@@ -73,14 +73,16 @@ def _lps(draw) -> LinearProgram:
         return np.array(draw(st.lists(num, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
 
     k, e = draw(st.integers(0, 4)), draw(st.integers(0, 2))
-    bound = st.sampled_from([(0.0, np.inf), (-np.inf, np.inf), (-1.0, 2.0), (-np.inf, 1.0), (0.5, 0.5)])
+    a, b = block(k, d), block(1, k)[0]
+    # optional upper bounds x_t <= u as constraint rows
+    upper = np.array(draw(st.lists(st.sampled_from([np.inf, 2.0, 1.0, 0.5]), min_size=d, max_size=d)))
+    capped = np.isfinite(upper)
     return LinearProgram(
         objective=block(1, d)[0],
-        constraint_matrix=block(k, d),
-        rhs=block(1, k)[0],
+        constraint_matrix=np.vstack([a, np.eye(d)[capped]]),
+        rhs=np.concatenate([b, upper[capped]]),
         equality_matrix=block(e, d),
         equality_rhs=block(1, e)[0],
-        bounds=draw(st.lists(bound, min_size=d, max_size=d)),
     )
 
 
@@ -95,7 +97,6 @@ def test_solve_lp_agrees_with_highs(lp):
         b_ub=lp.rhs if lp.rhs.shape[0] else None,
         A_eq=lp.equality_matrix if lp.equality_matrix.shape[0] else None,
         b_eq=lp.equality_rhs if lp.equality_rhs.shape[0] else None,
-        bounds=[(None if np.isinf(lo) else lo, None if np.isinf(hi) else hi) for lo, hi in lp.bounds],
         method="highs",
         # HiGHS's presolve calls some feasible unbounded LPs infeasible
         # (e.g. min -2.17 x0 + 1.56 x1 - 0.96 x2 under three rows of this
@@ -121,21 +122,6 @@ def test_dependent_equality_rows_keep_the_segment():
     # (1, 0)-(0, 1) and one tight bound makes each vertex
     p = Polytope(dim=2, equality_matrix=[[1, 1], [2, 2]], equality_rhs=[1, 2])
     assert [v.tolist() for v in enumerate_vertices(p)] == [[0.0, 1.0], [1.0, 0.0]]
-
-
-def test_free_and_upper_bounded_variables():
-    # min x, -x <= 5, x free
-    sol = solve_lp(
-        LinearProgram(objective=[1.0], constraint_matrix=[[-1.0]], rhs=[5.0],
-                      bounds=[(-np.inf, np.inf)])
-    )
-    assert sol.value == pytest.approx(-5.0, abs=1e-10)
-    # max x on [2, 3] as min of -x
-    sol = solve_lp(LinearProgram(objective=[-1.0], bounds=[(2.0, 3.0)]))
-    assert sol.value == pytest.approx(-3.0, abs=1e-10)
-    # upper bound only
-    sol = solve_lp(LinearProgram(objective=[-1.0], bounds=[(-np.inf, 4.0)]))
-    assert sol.value == pytest.approx(-4.0, abs=1e-10)
 
 
 def test_degenerate_problem_terminates():
@@ -205,12 +191,12 @@ def test_pivot_cap_raises_solver_error(monkeypatch):
 
 def test_enumeration_capacity_is_checked_before_building_bases(monkeypatch):
     # C(6, 3) = 20 candidate bases for the 3-cube
-    cube = Polytope(dim=3, bounds=[(0.0, 1.0)] * 3)
+    cube = Polytope(dim=3, constraint_matrix=np.eye(3), rhs=np.ones(3))
     assert len(enumerate_vertices(cube)) == 8
     monkeypatch.setattr(lp_kernel, "_MAX_BASES", 19)
     with pytest.raises(SolverError, match="20 bases"):
         enumerate_vertices(cube)
-    empty = Polytope(dim=3, bounds=[(0.0, 1.0)] * 3, constraint_matrix=[[1.0, 1.0, 1.0]], rhs=[-1.0])
+    empty = Polytope(dim=3, constraint_matrix=np.vstack([np.eye(3), np.ones(3)]), rhs=[1.0, 1.0, 1.0, -1.0])
     assert enumerate_vertices(empty) == []
 
 
@@ -221,7 +207,7 @@ def test_unit_simplex_vertices():
 
 
 def test_box_corners():
-    p = Polytope(dim=2, bounds=[(0.0, 1.0), (0.0, 1.0)])
+    p = Polytope(dim=2, constraint_matrix=np.eye(2), rhs=np.ones(2))
     vs = sorted(tuple(np.round(v, 9)) for v in enumerate_vertices(p))
     assert vs == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
 
@@ -246,13 +232,12 @@ def test_degenerate_vertex_deduplicated():
     # pyramid-like 2-D region where three constraints meet in one point
     p = Polytope(
         dim=2,
-        constraint_matrix=[[1.0, 1.0], [1.0, -1.0], [1.0, 0.0]],
-        rhs=[1.0, 1.0, 1.0],
-        bounds=[(0.0, np.inf), (-1.0, 1.0)],
+        constraint_matrix=[[1.0, 1.0], [1.0, -1.0], [1.0, 0.0], [0.0, 1.0]],
+        rhs=[2.0, 0.0, 1.0, 2.0],
     )
     vs = enumerate_vertices(p)
     pts = {tuple(np.round(v, 9)) for v in vs}
-    assert (1.0, 0.0) in pts
+    assert (1.0, 1.0) in pts
     assert len(vs) == len(pts)  # no duplicates survive
 
 
@@ -321,10 +306,25 @@ def test_dimension_mismatch_rejected():
         LinearProgram(objective=[1.0, 2.0], constraint_matrix=[[1.0]], rhs=[1.0])
     with pytest.raises(ValueError):
         LinearProgram(objective=[1.0], constraint_matrix=[[1.0]], rhs=[1.0, 2.0])
-    with pytest.raises(ValueError):
-        LinearProgram(objective=[1.0], bounds=[(1.0, 0.0)])
-    with pytest.raises(ValueError, match="lower > upper"):
-        Polytope(dim=1, bounds=[(1.0, 0.0)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["constraint_matrix", "equality_matrix"])
+def test_non_finite_constraint_matrices_rejected(field, bad):
+    rhs = "rhs" if field == "constraint_matrix" else "equality_rhs"
+    data = {field: [[bad, 1.0]], rhs: [1.0]}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        LinearProgram(objective=[1.0, 1.0], **data)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        Polytope(dim=2, **data)
+
+
+def test_variables_are_nonnegative_only():
+    with pytest.raises(TypeError):
+        LinearProgram(objective=[1.0], bounds=[(0.0, 1.0)])
+    with pytest.raises(TypeError):
+        Polytope(dim=1, bounds=[(0.0, 1.0)])
+    assert Polytope(dim=2).bounds == ((0.0, np.inf), (0.0, np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +335,9 @@ def test_dimension_mismatch_rejected():
 def _naive_vertices(p: Polytope) -> list[np.ndarray]:
     """The enumerator written one basis at a time: a min and a max LP per
     coordinate for boundedness, the equality rows that raise the rank of
-    the rows before them, one square solve per basis, the scalar
-    feasibility test on every row, then greedy deduplication in basis
-    order."""
+    the rows before them, the inequality rows G = [A; -I], one square solve
+    per basis, the scalar feasibility test on every row, then greedy
+    deduplication in basis order."""
     d = p.dim
     for t in range(d):
         for sign in (1.0, -1.0):
@@ -346,13 +346,12 @@ def _naive_vertices(p: Polytope) -> list[np.ndarray]:
                 raise ValueError("polytope is unbounded")
             if sol.status is LpStatus.INFEASIBLE:
                 return []
-    G, h = lp_kernel._inequality_system(p)
+    G = np.vstack([p.constraint_matrix, -np.eye(d)])
+    h = np.concatenate([p.rhs, np.zeros(d)])
     E, f = p.equality_matrix, p.equality_rhs
     ranks = [0] + [np.linalg.matrix_rank(E[: r + 1]) for r in range(E.shape[0])]
     basic = [r for r in range(E.shape[0]) if ranks[r + 1] > ranks[r]]
     k = d - len(basic)
-    lo = np.array([b[0] for b in p.bounds])
-    hi = np.array([b[1] for b in p.bounds])
     verts = []
     for combo in itertools.combinations(range(G.shape[0]), k):
         mat = np.vstack([E[basic], G[list(combo)]])
@@ -369,7 +368,7 @@ def _naive_vertices(p: Polytope) -> list[np.ndarray]:
             continue
         if E.shape[0] and np.any(np.abs(E @ x - f) > tol):
             continue
-        if np.all(x >= lo - tol) and np.all(x <= hi + tol):
+        if np.all(x >= -tol):
             verts.append(x)
     unique = []
     for v in verts:
@@ -393,11 +392,14 @@ def _random_polytope(rng) -> Polytope:
 
 
 def _degenerate_polytope(rng) -> Polytope:
-    # small integer rows through few points: many bases share a vertex
+    # small integer rows through few points: many bases share a vertex.
+    # Rows a x <= r on the box [0, 1]^(d-1) x [-1, 1], shifted by e_d into
+    # x >= 0: a y <= r + a_d, y_t <= 1 for t < d and y_d <= 2.
     d = int(rng.integers(2, 5))
     k = int(rng.integers(1, 5))
-    return Polytope(dim=d, constraint_matrix=rng.integers(-2, 3, (k, d)), rhs=rng.integers(0, 3, k),
-                    bounds=[(0.0, 1.0)] * (d - 1) + [(-1.0, 1.0)])
+    a, r = rng.integers(-2, 3, (k, d)), rng.integers(0, 3, k)
+    return Polytope(dim=d, constraint_matrix=np.vstack([a, np.eye(d)]),
+                    rhs=np.concatenate([r + a[:, -1], np.ones(d - 1), [2.0]]))
 
 
 def _pair_polytope_of(rng) -> Polytope:
@@ -430,16 +432,6 @@ def test_batched_enumeration_equals_the_per_basis_reference(block, seed, make):
     assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
 
 
-def test_no_candidate_bases_gives_no_vertices(monkeypatch):
-    # dim - n_eq = 2 tight inequalities needed, none exist. A nonempty
-    # polytope like this is never bounded, so the probe is bypassed here.
-    p = Polytope(dim=3, bounds=[(-np.inf, np.inf)] * 3, equality_matrix=[[1.0, 1.0, 1.0]], equality_rhs=[1.0])
-    with pytest.raises(ValueError, match="unbounded"):
-        enumerate_vertices(p)
-    monkeypatch.setattr(lp_kernel, "_bounded_and_feasible", lambda p: True)
-    assert enumerate_vertices(p) == []
-
-
 def _two_by_six_pair_polytope() -> Polytope:
     # Agent indifferent everywhere: the best-response rows are 0 <= 0, so the
     # polytope is the product of six 2-point simplices, 64 vertices among
@@ -468,32 +460,6 @@ def test_enumeration_memory_is_bounded_by_the_block_size(monkeypatch):
 # boundedness probe and feasibility
 # ---------------------------------------------------------------------------
 
-_FREE = (-np.inf, np.inf)
-
-
-def test_free_variable_bounded_by_constraints_keeps_its_vertices():
-    # x free but -1 <= x <= 2 through the constraints, y in [0, 1]
-    p = Polytope(dim=2, constraint_matrix=[[1.0, 0.0], [-1.0, 0.0]], rhs=[2.0, 1.0],
-                 bounds=[_FREE, (0.0, 1.0)])
-    vs = sorted(tuple(np.round(v, 9)) for v in enumerate_vertices(p))
-    assert vs == [(-1.0, 0.0), (-1.0, 1.0), (2.0, 0.0), (2.0, 1.0)]
-
-
-def test_unbounded_free_and_upper_only_directions_rejected():
-    along_free = Polytope(dim=2, constraint_matrix=[[1.0, 0.0]], rhs=[2.0], bounds=[_FREE, (0.0, 1.0)])
-    with pytest.raises(ValueError, match="unbounded"):
-        enumerate_vertices(along_free)
-    below_upper = Polytope(dim=2, bounds=[(-np.inf, 3.0), (0.0, 1.0)])
-    with pytest.raises(ValueError, match="unbounded"):
-        enumerate_vertices(below_upper)
-
-
-def test_infeasible_polytope_with_a_free_variable_is_empty():
-    p = Polytope(dim=2, constraint_matrix=[[1.0, 0.0], [-1.0, 0.0]], rhs=[-1.0, -1.0],
-                 bounds=[_FREE, (0.0, 1.0)])
-    assert enumerate_vertices(p) == []
-
-
 def test_pair_polytope_boundedness_takes_one_lp(monkeypatch):
     rng = np.random.default_rng(0)
     mats = [rng.integers(0, 6, (3, 3)).astype(float) for _ in range(4)]
@@ -506,6 +472,19 @@ def test_pair_polytope_boundedness_takes_one_lp(monkeypatch):
 
     monkeypatch.setattr(lp_kernel, "solve_lp", counted)
     assert enumerate_vertices(p)
+    assert len(calls) == 1
+    # and one LP for any other polytope: bounded, empty or unbounded
+    cube = Polytope(dim=3, constraint_matrix=np.eye(3), rhs=np.ones(3))
+    empty = Polytope(dim=2, constraint_matrix=[[1.0, 1.0]], rhs=[-1.0])
+    ray = Polytope(dim=2, constraint_matrix=[[1.0, -1.0]], rhs=[1.0])
+    for poly, want in ((cube, True), (_random_polytope(rng), None), (empty, False)):
+        calls.clear()
+        got = lp_kernel._bounded_and_feasible(poly)
+        assert len(calls) == 1
+        assert want is None or got is want
+    calls.clear()
+    with pytest.raises(ValueError, match="unbounded"):
+        lp_kernel._bounded_and_feasible(ray)
     assert len(calls) == 1
 
 
