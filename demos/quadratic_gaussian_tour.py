@@ -6,7 +6,7 @@ The script walks the same four information regimes as the matrix demos --
 full information, Bayesian asymmetry, agent-driven disclosure, and a priced
 Gaussian channel -- and shows the two structural facts that make this setup
 interesting: disclosure is all-or-nothing with a sign flip in beta, and the
-optimal channel noise solves a one-dimensional convex trade-off.
+optimal channel noise is a root of a quadratic.
 
 Run: python3 demos/quadratic_gaussian_tour.py
 """
@@ -43,8 +43,9 @@ for beta in (0.25, 0.5, np.sqrt(3) - 1, 1.0, 2.0):
 print()
 
 # With a priced Gaussian channel the principal picks the noise level
-# sigma_w^2; total cost is gross play cost plus kappa times the mutual
-# information of the channel.
+# sigma_w^2; total cost is gross play cost plus kappa/2 * ln(1 + 1/sigma_w^2)
+# nats. That is kappa times the mutual information of theta + w only when
+# the prior variance is 1; here it is 4.
 report = qg_g4_optimize(p)
 print(f"priced channel at kappa={p.kappa}:")
 print(f"  optimal noise sigma_w^2 = {report.channel:.4f}")

@@ -6,8 +6,7 @@ information acquisition):
 
 - two-state finite matrix games, solved exactly by linear programming and
   grid concavification;
-- a scalar quadratic-Gaussian game, solved in closed form plus a 1-D channel
-  optimization.
+- a scalar quadratic-Gaussian game, solved in closed form.
 
 Brute-force oracles in :mod:`incentive_games.oracle` independently verify
 every analytic result at desk scale.

@@ -3,22 +3,26 @@
 A principal with cost (theta-u-v)^2 + 2u^2 + beta*v^2 commits to an affine
 incentive policy gamma(v) = q*v + b around the team-optimal point; an agent
 with cost (theta-u-v)^2 + v^2 best-responds. The state theta is Gaussian.
-The same four information regimes as the matrix module apply, but everything
-here reduces to closed forms plus one 1-D minimization (the g4 channel-noise
-choice).
+The same four information regimes as the matrix module apply, and every one
+has a closed form: the g4 channel choice compares the roots of a quadratic
+with buying nothing.
 
-Conventions: the g4 channel cost is kappa/2 * log(1 + 1/sigma_w_sq) in nats
-(natural log), the standard Gaussian-channel entropy-reduction form.
+Conventions: the g4 channel cost is kappa/2 * ln(1 + 1/sigma_w_sq) nats
+(natural log). It equals kappa times the mutual information
+1/2 * ln(1 + sigma0_sq/sigma_w_sq) of the signal theta + w only when
+sigma0_sq = 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-import numpy as np
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def _check_beta(beta: float) -> None:
+    # the closed forms evaluate beta**4, which must stay a finite float
+    if not (beta > 0.0 and math.isfinite(beta * beta * beta * beta)):
+        raise ValueError("beta must be positive and at most about 1e77 (beta**4 must be finite)")
 
 
 @dataclass(frozen=True)
@@ -34,8 +38,7 @@ class QGParams:
     sigma_w_sq: float = math.inf
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise ValueError("beta must be finite and positive")
+        _check_beta(self.beta)
         if not math.isfinite(self.z0):
             raise ValueError("z0 must be finite")
         if not (math.isfinite(self.sigma0_sq) and self.sigma0_sq >= 0.0):
@@ -123,24 +126,20 @@ def _ja2(beta: float, z: float, var: float) -> float:
 def disclosure_coefficient(beta: float) -> float:
     """Slope of the agent's expected cost in the variance of the induced
     posterior mean: positive means disclosure hurts the agent."""
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError("beta must be finite and positive")
+    _check_beta(beta)
     b2 = beta * beta
     return 4.0 * (b2 + 1.0) / (3.0 * beta + 2.0) ** 2 - b2 / (b2 + 1.0)
 
 
-def _posterior_mean_variance(sigma0_sq: float, sigma_w_sq: float) -> float:
+def _posterior_variances(sigma0_sq: float, sigma_w_sq: float) -> tuple[float, float]:
+    """Var(z_s), the variance of the posterior mean, and the residual
+    variance after observing theta + noise of variance sigma_w_sq."""
     if math.isinf(sigma_w_sq):
-        return 0.0
-    return sigma0_sq * sigma0_sq / (sigma0_sq + sigma_w_sq)
-
-
-def _residual_variance(sigma0_sq: float, sigma_w_sq: float) -> float:
-    if math.isinf(sigma_w_sq):
-        return sigma0_sq
-    if sigma0_sq + sigma_w_sq == 0.0:
-        return 0.0
-    return sigma0_sq * sigma_w_sq / (sigma0_sq + sigma_w_sq)
+        return 0.0, sigma0_sq
+    total = sigma0_sq + sigma_w_sq
+    if total == 0.0:
+        return 0.0, 0.0
+    return sigma0_sq * sigma0_sq / total, sigma0_sq * sigma_w_sq / total
 
 
 # ---------------------------------------------------------------------------
@@ -177,45 +176,45 @@ def qg_g2(p: QGParams, belief_mean: float | None = None, belief_var: float | Non
     )
 
 
+def _channel_report(p: QGParams, game: str, s: float, **labels) -> QGReport:
+    """The report at channel noise s (0: full information, inf: none): the
+    principal pays qg_g4_cost; the agent's cost is affine in Var(z_s)."""
+    mean_var, residual = _posterior_variances(p.sigma0_sq, s)
+    return QGReport(
+        game=game,
+        principal_cost=qg_g4_cost(p, s),
+        agent_cost=_ja2(p.beta, p.z0, p.sigma0_sq) + disclosure_coefficient(p.beta) * mean_var,
+        policy=_policy(p.beta),
+        channel=s,
+        posterior=PosteriorStats(p.z0, mean_var, residual),
+        **labels,
+    )
+
+
 def qg_g3(p: QGParams) -> QGReport:
     """Agent-chosen disclosure through a Gaussian channel: the agent's cost
     is affine in the posterior-mean variance, so only the sign of the slope
-    matters and the optimum is all (sigma_w = 0) or nothing (infinity)."""
+    matters and the optimum is all (sigma_w = 0) or nothing (infinity).
+    Disclosure is free, so the principal pays qg_g4_cost at kappa = 0."""
     f = disclosure_coefficient(p.beta)
-    if f < 0.0:
-        return QGReport(
-            game="G3",
-            principal_cost=_jp1(p.beta, p.z0, p.sigma0_sq),
-            agent_cost=_ja1(p.beta, p.z0, p.sigma0_sq),
-            policy=_policy(p.beta),
-            channel=0.0,
-            posterior=PosteriorStats(p.z0, p.sigma0_sq, 0.0),
-            revelation="full",
-        )
-    return QGReport(
-        game="G3",
-        principal_cost=_jp2(p.beta, p.z0, p.sigma0_sq),
-        agent_cost=_ja2(p.beta, p.z0, p.sigma0_sq),
-        policy=_policy(p.beta),
-        channel=math.inf,
-        posterior=PosteriorStats(p.z0, 0.0, p.sigma0_sq),
-        revelation="none",
-        indifferent=(f == 0.0),
+    return _channel_report(
+        replace(p, kappa=0.0), "G3", 0.0 if f < 0.0 else math.inf,
+        revelation="full" if f < 0.0 else "none", indifferent=(f == 0.0),
     )
 
 
 def qg_g4_cost(p: QGParams, sigma_w_sq: float) -> float:
     """Principal's total cost when buying the signal theta + noise of
-    variance sigma_w_sq at price kappa per nat of entropy reduction."""
+    variance sigma_w_sq at price kappa per nat of entropy reduction. At
+    sigma_w_sq = 0 it is inf, or its limit, the g1 cost, when kappa = 0."""
     s = float(sigma_w_sq)
     if math.isnan(s) or s < 0.0:
         raise ValueError("sigma_w_sq must be nonnegative")
     if s == 0.0:
-        return math.inf
+        return _jp1(p.beta, p.z0, p.sigma0_sq) if p.kappa == 0.0 else math.inf
     if math.isinf(s):
         return _jp2(p.beta, p.z0, p.sigma0_sq)
-    mean_var = _posterior_mean_variance(p.sigma0_sq, s)
-    residual = _residual_variance(p.sigma0_sq, s)
+    mean_var, residual = _posterior_variances(p.sigma0_sq, s)
     channel = 0.5 * p.kappa * math.log1p(1.0 / s)
     return (
         2.0 * p.beta * (p.z0 * p.z0 + mean_var) / (3.0 * p.beta + 2.0)
@@ -224,52 +223,32 @@ def qg_g4_cost(p: QGParams, sigma_w_sq: float) -> float:
     )
 
 
-_GRID = np.logspace(-6.0, 6.0, 200)
-
-
 def qg_g4_optimize(p: QGParams) -> QGReport:
-    """Minimize qg_g4_cost over the channel noise: log-spaced grid sweep,
-    golden-section refinement around the best grid point, then comparison
-    against buying nothing."""
-    costs = [qg_g4_cost(p, s) for s in _GRID]
-    best = int(np.argmin(costs))
-    lo = math.log(_GRID[max(best - 1, 0)])
-    hi = math.log(_GRID[min(best + 1, len(_GRID) - 1)])
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1 = qg_g4_cost(p, math.exp(x1))
-    f2 = qg_g4_cost(p, math.exp(x2))
-    while hi - lo > 1e-8:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = qg_g4_cost(p, math.exp(x1))
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = qg_g4_cost(p, math.exp(x2))
-    sigma_star = math.exp(0.5 * (lo + hi))
-    cost_star = qg_g4_cost(p, sigma_star)
+    """Minimize qg_g4_cost over the channel noise s, exactly.
 
-    no_acquisition = _jp2(p.beta, p.z0, p.sigma0_sq)
-    if no_acquisition <= cost_star:
-        return QGReport(
-            game="G4",
-            principal_cost=no_acquisition,
-            agent_cost=_ja2(p.beta, p.z0, p.sigma0_sq),
-            policy=_policy(p.beta),
-            channel=math.inf,
-            posterior=PosteriorStats(p.z0, 0.0, p.sigma0_sq),
-        )
-    mean_var = _posterior_mean_variance(p.sigma0_sq, sigma_star)
-    agent = _ja2(p.beta, p.z0, p.sigma0_sq) + disclosure_coefficient(p.beta) * mean_var
-    return QGReport(
-        game="G4",
-        principal_cost=cost_star,
-        agent_cost=agent,
-        policy=_policy(p.beta),
-        channel=sigma_star,
-        posterior=PosteriorStats(
-            p.z0, mean_var, _residual_variance(p.sigma0_sq, sigma_star)
-        ),
-    )
+    With s0 = sigma0_sq, a = 2*beta/(3*beta + 2), w = _ignorance_weight(beta)
+    and m(s) = s0^2/(s0 + s) = Var(z_s), the residual variance is s0 - m(s):
+
+        C(s) = a*z0^2 + w*s0 + (a - w)*m(s) + (kappa/2)*ln(1 + 1/s),
+        C'(s) = (w - a)*s0^2/(s0 + s)^2 - kappa/(2*s*(s + 1)).
+
+    On s > 0, C' has the sign of Q(s) = (D - kappa)*s^2 + (D - 2*kappa*s0)*s
+    - kappa*s0^2, with D = 2*(w - a)*s0^2. With kappa > 0, Q(0) <= 0 and C
+    falls from +inf near 0. If D > kappa, Q has one positive root, the
+    minimum; if D < kappa, none, or a local minimum and then a local maximum
+    after which C falls toward C(inf), the g2 cost. With kappa = 0, Q(s) =
+    D*s*(s + 1): C is monotone and s = 0 (the g1 cost) can win only if D > 0.
+    The candidates are compared by qg_g4_cost after s = inf, so a tie buys
+    nothing. The roots use the cancellation-free quadratic formula, whose
+    root qc/q also solves the linear case D = kappa.
+    """
+    s0, k = p.sigma0_sq, p.kappa
+    d = 2.0 * (_ignorance_weight(p.beta) - 2.0 * p.beta / (3.0 * p.beta + 2.0)) * s0 * s0
+    qa, qb, qc = d - k, d - 2.0 * k * s0, -k * s0 * s0
+    disc = qb * qb - 4.0 * qa * qc
+    q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb)) if disc >= 0.0 else 0.0
+    roots = ([q / qa] if qa != 0.0 else []) + ([qc / q] if q != 0.0 else [])
+    if k == 0.0:
+        roots = [0.0] if d > 0.0 else []
+    candidates = [math.inf] + [s for s in roots if s >= 0.0]
+    return _channel_report(p, "G4", min(candidates, key=lambda s: qg_g4_cost(p, s)))

@@ -267,6 +267,24 @@ def test_beta_grid_errors_carry_file_and_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}:7: kappa must be")
 
 
+def test_beta_whose_fourth_power_overflows_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge_beta.json"
+    path.write_text(json.dumps({"kind": "qg", "beta": 1e200, "z0": 1, "sigma0_sq": 4, "kappa": 1}))
+    for command in ("g1", "g2", "g3", "g4", "verify"):
+        assert run(command, str(path)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:1: beta must be")
+
+
+@pytest.mark.parametrize("beta,kappa", [(1.0, 0.0), (0.05, 1e-9)])
+def test_verify_qg_at_free_and_nearly_free_information(tmp_path, capsys, beta, kappa):
+    """At kappa = 0 the solver buys channel 0; at kappa = 1e-9 and beta =
+    0.05 it buys about 2.9e-10. Both lie below the oracle's argmin window."""
+    path = tmp_path / "cheap_channel.json"
+    path.write_text(json.dumps({"kind": "qg", "beta": beta, "z0": 1, "sigma0_sq": 4, "kappa": kappa}))
+    assert run("verify", str(path)) == 0
+    assert capsys.readouterr().out.endswith("5/5 checks passed\n")
+
+
 def _four_by_four(tmp_path, prior: float):
     rng = np.random.default_rng(4)
     doc = {
@@ -348,6 +366,24 @@ def _matrix_docs(draw):
     return doc
 
 
+@st.composite
+def _qg_docs(draw):
+    """Quadratic-Gaussian scenarios with beta, z0, sigma0_sq and kappa drawn
+    over wide floats (0, 1e-12 and 1e200 among them); about a third carry
+    an invalid value in one field."""
+    wide = st.one_of(
+        st.sampled_from([0.0, 1e-12, 1.0, 1e200]),
+        st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+    )
+    doc = {"kind": "qg", "beta": draw(wide), "z0": draw(wide) * draw(st.sampled_from([1, -1])),
+           "sigma0_sq": draw(wide), "kappa": draw(wide)}
+    if draw(st.integers(0, 2)) == 0:
+        doc[draw(st.sampled_from(["beta", "z0", "sigma0_sq", "kappa"]))] = draw(
+            st.sampled_from([-1.0, math.nan, math.inf, -math.inf, "1", None])
+        )
+    return doc
+
+
 _FOUR_BY_FOUR = {
     "kind": "matrix",
     "cp": np.random.default_rng(4).integers(0, 6, (2, 4, 4)).tolist(),
@@ -361,11 +397,15 @@ def scenario_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "scenario.json"
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(st.sampled_from(["g1", "g2", "g3", "g4", "verify"]), _matrix_docs())
-@example("g3", _FOUR_BY_FOUR)
-@example("verify", _FOUR_BY_FOUR)
-def test_fuzzed_scenarios_exit_with_a_documented_code(scenario_path, command, doc):
+@settings(max_examples=160, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.tuples(st.sampled_from(["g1", "g2", "g3", "g4", "verify"]), _matrix_docs()),
+    st.tuples(st.sampled_from(["g1", "g2", "g3", "g4", "sweep"]), _qg_docs()),
+))
+@example(("g3", _FOUR_BY_FOUR))
+@example(("verify", _FOUR_BY_FOUR))
+def test_fuzzed_scenarios_exit_with_a_documented_code(scenario_path, case):
+    command, doc = case
     scenario_path.write_text(json.dumps(doc))
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = run(command, str(scenario_path), "--grid", "51")

@@ -33,6 +33,12 @@ def test_params_validation():
     with pytest.raises(ValueError):
         QGParams(beta=-1.0, z0=0.0, sigma0_sq=1.0)
     with pytest.raises(ValueError):
+        QGParams(beta=math.inf, z0=0.0, sigma0_sq=1.0)
+    with pytest.raises(ValueError, match="beta must be"):
+        QGParams(beta=1e200, z0=0.0, sigma0_sq=1.0)  # beta**4 overflows
+    with pytest.raises(ValueError, match="beta must be"):
+        disclosure_coefficient(1e78)
+    with pytest.raises(ValueError):
         QGParams(beta=1.0, z0=math.inf, sigma0_sq=1.0)
     with pytest.raises(ValueError):
         QGParams(beta=1.0, z0=0.0, sigma0_sq=-1.0)
@@ -158,6 +164,9 @@ def test_g3_full_revelation_at_beta_one():
     assert r.principal_cost == pytest.approx(2.0, abs=1e-12)
     assert r.agent_cost == pytest.approx(1.6, abs=1e-12)
     assert not r.indifferent
+    known = QGParams(beta=1.0, z0=2.0, sigma0_sq=0.0)  # sigma0_sq + channel = 0
+    assert qg_g3(known).principal_cost == qg_g1(known).principal_cost
+    assert qg_g3(known).posterior.mean_variance == 0.0
 
 
 def test_g3_no_revelation_at_beta_half():
@@ -200,6 +209,8 @@ def test_g4_cost_limits():
     assert qg_g4_cost(p, 1e12) == pytest.approx(2.4, abs=1e-5)
     assert qg_g4_cost(p, math.inf) == qg_g2(p).principal_cost
     assert math.isinf(qg_g4_cost(p, 0.0))
+    free = QGParams(beta=1.0, z0=1.0, sigma0_sq=4.0, kappa=0.0)
+    assert qg_g4_cost(free, 0.0) == qg_g1(free).principal_cost  # the s -> 0 limit
     with pytest.raises(ValueError):
         qg_g4_cost(p, -1.0)
 
@@ -229,9 +240,52 @@ def test_g4_optimize_agent_cost_is_disclosure_adjusted():
 
 
 def test_g4_optimize_free_information_reveals_all():
-    r = qg_g4_optimize(QGParams(beta=1.0, z0=1.0, sigma0_sq=4.0, kappa=0.0))
-    assert r.channel == pytest.approx(1e-6, rel=1e-2)
-    assert r.principal_cost == pytest.approx(2.0, abs=1e-5)  # g1 value
+    p = QGParams(beta=1.0, z0=1.0, sigma0_sq=4.0, kappa=0.0)
+    r = qg_g4_optimize(p)
+    assert r.channel == 0.0
+    assert r.principal_cost == qg_g1(p).principal_cost
+    assert r.agent_cost == pytest.approx(qg_g1(p).agent_cost, abs=1e-12)
+
+
+def test_g4_optimize_exact_channels_at_the_reference_prior():
+    """At beta = 1, sigma0_sq = 4: a = 0.4, w = 0.5, so D = 2*(w - a)*16 =
+    3.2 and Q(s) = (3.2 - kappa)*s^2 + (3.2 - 8*kappa)*s - 16*kappa. Its
+    positive root is 0.8, 4 and 8 at kappa = 0.2, 1 and 1.6; from kappa =
+    D on, Q < 0 on s > 0 and the cost falls all the way to s = inf."""
+    for kappa, channel in ((0.2, 0.8), (1.0, 4.0), (1.6, 8.0)):
+        r = qg_g4_optimize(QGParams(beta=1.0, z0=1.0, sigma0_sq=4.0, kappa=kappa))
+        assert r.channel == pytest.approx(channel, rel=1e-12)
+    assert math.isinf(qg_g4_optimize(QGParams(1.0, 1.0, 4.0, kappa=3.2)).channel)
+    assert math.isfinite(qg_g4_optimize(QGParams(1.0, 1.0, 4.0, kappa=3.19)).channel)
+
+
+def test_g4_optimize_picks_the_local_minimum_of_two_stationary_points():
+    """beta = 0.1, sigma0_sq = 0.01, kappa = 0.001 has D < kappa and two
+    positive roots: a local minimum near 3.6e-4 that beats buying nothing,
+    and a local maximum near 0.40."""
+    p = QGParams(beta=0.1, z0=1.0, sigma0_sq=0.01, kappa=0.001)
+    r = qg_g4_optimize(p)
+    assert r.channel == pytest.approx(3.569e-4, rel=1e-3)
+    assert r.principal_cost < qg_g2(p).principal_cost < qg_g4_cost(p, 0.40)
+
+
+_DENSE = np.logspace(-14.0, 14.0, 20_001)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+    _means,
+    st.one_of(st.just(0.0), st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e)),
+    st.one_of(st.just(0.0), st.floats(-12.0, 4.0).map(lambda e: 10.0 ** e)),
+)
+def test_g4_optimize_is_never_above_a_dense_sweep(beta, z, var, kappa):
+    p = QGParams(beta=beta, z0=z, sigma0_sq=var, kappa=kappa)
+    c = qg_g4_optimize(p).principal_cost
+    rivals = [qg_g4_cost(p, float(s)) for s in _DENSE] + [qg_g2(p).principal_cost]
+    if kappa == 0.0:
+        rivals.append(qg_g1(p).principal_cost)
+    assert c <= min(rivals) + 1e-12 * max(1.0, abs(c))
 
 
 def test_g4_optimize_prohibitive_price_buys_nothing():
@@ -250,8 +304,9 @@ def test_g4_optimize_never_above_no_acquisition(beta, kappa):
 
 
 def test_g4_optimize_zero_prior_variance_buys_nothing():
-    r = qg_g4_optimize(QGParams(beta=1.0, z0=3.0, sigma0_sq=0.0, kappa=1.0))
-    assert math.isinf(r.channel)
+    for kappa in (0.0, 1.0):  # at kappa = 0, s = 0 and s = inf tie
+        r = qg_g4_optimize(QGParams(beta=1.0, z0=3.0, sigma0_sq=0.0, kappa=kappa))
+        assert math.isinf(r.channel)
 
 
 def test_report_posterior_stats_consistency():
