@@ -6,10 +6,13 @@ rule (deterministic, cycle-free in exact arithmetic, each pivot one outer
 product) and combinatorial vertex enumeration are both exact enough and fast
 enough. Every variable is a probability, so x >= 0 is the only variable
 domain: each tableau column is a variable of the caller's LP, with no shift,
-mirror or split in between. Enumeration checks boundedness with one LP, then
-solves the candidate bases in fixed-size blocks of batched square systems,
-tests them with one feasibility rule (Polytope.contains) and deduplicates in
-basis order. Re-running any routine on the same input is bit-identical.
+mirror or split in between. The lexicographic minimum goes on from the
+final tableau of one solve: a nonbasic column with positive reduced cost is
+zero at every optimum, so it is dropped, and no pinned LP is solved again.
+Enumeration checks boundedness with one LP, then solves the candidate bases
+in fixed-size blocks of batched square systems, tests them with one
+feasibility rule (Polytope.contains) and deduplicates in basis order.
+Re-running any routine on the same input is bit-identical.
 Where either one cannot finish (a capped pivot count, a capped number of
 bases) it raises SolverError rather than reporting the input as invalid.
 """
@@ -215,8 +218,9 @@ def _bland_simplex(tableau: np.ndarray, basis: np.ndarray, n_vars: int):
         basis[leave] = entering
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Two-phase dense simplex (Bland's rule). Deterministic; minimization."""
+def _two_phase(lp: LinearProgram):
+    """Two-phase dense simplex (Bland's rule): the status, then the final
+    tableau and basis if optimal, and the count of non-artificial columns."""
     c, A, b, E, f = lp.objective, lp.constraint_matrix, lp.rhs, lp.equality_matrix, lp.equality_rhs
     n = lp.dim
     m = A.shape[0] + E.shape[0]
@@ -247,7 +251,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         phase1 = -tab[-1, -1]
         scale = max(1.0, float(np.max(np.abs(brhs))))
         if status == "unbounded" or phase1 > FEAS_TOL * scale:
-            return LpSolution(LpStatus.INFEASIBLE)
+            return LpStatus.INFEASIBLE, None, None, n_real
         # drive artificials still basic at zero out where possible; rows where
         # no pivot exists are redundant and their zero artificial stays basic
         for i in np.flatnonzero(basis >= n_real):
@@ -264,47 +268,50 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         j = basis[i]
         if tab[-1, j] != 0.0:
             tab[-1] -= tab[-1, j] * tab[i]
-    status = _bland_simplex(tab, basis, n_real)
-    if status == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED)
+    if _bland_simplex(tab, basis, n_real) == "unbounded":
+        return LpStatus.UNBOUNDED, None, None, n_real
+    return LpStatus.OPTIMAL, tab, basis, n_real
 
-    y = np.zeros(n_total)
-    y[basis] = tab[:m, -1]
-    x = y[:n] + 0.0                       # no -0.0 in the reported point
-    value = float(lp.objective @ x)
-    return LpSolution(LpStatus.OPTIMAL, x, value)
+
+def _solution(lp: LinearProgram, tab: np.ndarray, basis: np.ndarray) -> LpSolution:
+    y = np.zeros(tab.shape[1] - 1)
+    y[basis] = tab[:-1, -1]
+    x = y[: lp.dim] + 0.0                 # no -0.0 in the reported point
+    return LpSolution(LpStatus.OPTIMAL, x, float(lp.objective @ x))
+
+
+def solve_lp(lp: LinearProgram) -> LpSolution:
+    """Two-phase dense simplex (Bland's rule). Deterministic; minimization."""
+    status, tab, basis, _ = _two_phase(lp)
+    return _solution(lp, tab, basis) if status is LpStatus.OPTIMAL else LpSolution(status)
 
 
 def lexicographic_argmin(lp: LinearProgram) -> LpSolution:
-    """Solve, then canonicalize to the lexicographically smallest optimal
-    point (which is the lex-min optimal vertex): pin the objective value as an
-    equality and minimize each coordinate in order, pinning as it goes."""
-    first = solve_lp(lp)
-    if not first.optimal:
-        return first
-    d = lp.dim
-    eq = [lp.equality_matrix, lp.objective.reshape(1, -1)]
-    eqr = [lp.equality_rhs, np.array([first.value])]
-    point = first.point
-    for t in range(d):
-        c = np.zeros(d)
-        c[t] = 1.0
-        sub = LinearProgram(
-            objective=c,
-            constraint_matrix=lp.constraint_matrix,
-            rhs=lp.rhs,
-            equality_matrix=np.vstack([m for m in eq if m.shape[0]]),
-            equality_rhs=np.concatenate(eqr),
-        )
-        sol = solve_lp(sub)
-        if not sol.optimal:       # numerically pinned face became empty; keep last point
+    """The lexicographically smallest optimal point (the lex-min optimal
+    vertex), on the final tableau of one solve (Isermann 1982).
+
+    At an optimal basis c @ x = z* + sum over nonbasic j of r_j x_j for every
+    feasible x, each reduced cost r_j >= 0, so a column with r_j > 0 (beyond
+    the simplex's _PIVOT_TOL) is zero at every optimum. Zeroing those columns
+    leaves the optimal face; x_0 is then minimized on it from the current,
+    feasible basis, the face narrowed the same way, then x_1, and so on, with
+    no pinned equality and no second phase one. Once every nonbasic column is
+    dropped the face is the current vertex, and the walk stops.
+    """
+    status, tab, basis, n_real = _two_phase(lp)
+    if status is not LpStatus.OPTIMAL:
+        return LpSolution(status)
+    dropped = np.zeros(n_real, dtype=bool)
+    for t in range(lp.dim):
+        nonbasic = ~np.isin(np.arange(n_real), basis)
+        dropped |= nonbasic & (tab[-1, :n_real] > _PIVOT_TOL)
+        if np.all(dropped | ~nonbasic):
             break
-        point = sol.point
-        row = np.zeros((1, d))
-        row[0, t] = 1.0
-        eq.append(row)
-        eqr.append(np.array([sol.value]))
-    return LpSolution(LpStatus.OPTIMAL, point, float(lp.objective @ point))
+        tab[:, :n_real][:, dropped] = 0.0
+        tab[-1] = -tab[:-1][basis == t].sum(axis=0)     # objective x_t, priced out
+        tab[-1, t] += 1.0
+        _bland_simplex(tab, basis, n_real)      # x_t >= 0: never unbounded
+    return _solution(lp, tab, basis)
 
 
 # ---------------------------------------------------------------------------

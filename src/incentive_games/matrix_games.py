@@ -340,7 +340,10 @@ def solve_g2(table: CostTable, belief) -> EquilibriumReport:
     mu = as_probability(belief)
     m, n = table.m, table.n
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    lps = [_pair_polytope(table, i, j).lp(_pair_objective(table, i, j, mu)) for i, j in pairs]
+    blocks = [[_best_response_rows(table, k, rec) for rec in range(n)] for k in range(2)]
+    eq, eqr = _column_sum_equalities(m, n)
+    lps = [LinearProgram(_pair_objective(table, i, j, mu), np.vstack([blocks[0][i], blocks[1][j]]),
+                         np.zeros(2 * n - 2), eq, eqr) for i, j in pairs]
     best = _first_optimal([solve_lp(lp) for lp in lps], "response pair")
     i, j = pairs[best]
     canon = lexicographic_argmin(lps[best])

@@ -289,6 +289,42 @@ def test_lexicographic_argmin_is_lex_min_optimal_vertex():
         assert canon.point == pytest.approx(lexmin, abs=1e-7)
 
 
+@st.composite
+def _bounded_lps(draw) -> LinearProgram:
+    """min c @ x over x >= 0 under up to three rows, bounded by sum(x) = 1 or
+    by the box x <= 1. The rows are small integers (degenerate vertices) or
+    normal draws; c is 0/1, so that optimal faces are common."""
+    d, k = draw(st.integers(2, 5)), draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        a = np.array(draw(st.lists(st.integers(-2, 2), min_size=k * d, max_size=k * d)), dtype=float)
+        b = np.array(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)), dtype=float)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        a, b = rng.normal(size=k * d), rng.uniform(0.3, 1.5, size=k)
+    c = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=d, max_size=d)))
+    if draw(st.booleans()):
+        return LinearProgram(objective=c, constraint_matrix=a.reshape(k, d), rhs=b,
+                             equality_matrix=np.ones((1, d)), equality_rhs=[1.0])
+    return LinearProgram(objective=c, constraint_matrix=np.vstack([a.reshape(k, d), np.eye(d)]),
+                         rhs=np.concatenate([b, np.ones(d)]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_bounded_lps())
+def test_lexicographic_argmin_equals_the_enumeration_oracle(lp):
+    canon = lexicographic_argmin(lp)
+    verts = enumerate_vertices(Polytope(dim=lp.dim, constraint_matrix=lp.constraint_matrix, rhs=lp.rhs,
+                                        equality_matrix=lp.equality_matrix, equality_rhs=lp.equality_rhs))
+    if not verts:
+        assert canon.status is LpStatus.INFEASIBLE
+        return
+    values = [float(lp.objective @ v) for v in verts]
+    optimal = [v for v, value in zip(verts, values) if value <= min(values) + 1e-9]
+    lexmin = min(optimal, key=lambda v: tuple(np.round(v, 9)))
+    assert canon.optimal
+    assert np.max(np.abs(canon.point - lexmin)) <= 1e-9
+
+
 def test_vertices_satisfy_constraints():
     rng = np.random.default_rng(5)
     for _ in range(10):

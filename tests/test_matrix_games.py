@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from incentive_games import lp_kernel, matrix_games
 from incentive_games.belief_engine import envelope_from_samples
@@ -21,6 +21,7 @@ from incentive_games.matrix_games import (
     solve_g4,
     value_curves,
 )
+from incentive_games.scenarios import load_scenario
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -318,6 +319,40 @@ def test_g2_and_the_curve_agree_below_the_simplex_tolerance():
     r = solve_g2(table, 0.5)
     assert r.principal_cost == pytest.approx(jp[1], abs=1e-9)
     assert r.agent_cost == ja[1] == 0.5
+
+
+def test_g2_scheme_is_an_optimal_vertex_with_entries_near_1e8():
+    # Pair (0, 0)'s LP ends at the optimum 0.0. A lex-min that pinned that
+    # value as an equality, met only to the feasibility tolerance, drifted to
+    # x = (4.5e-8, 0.99999996, ...): principal cost 2.0e-8 and not a vertex.
+    table = CostTable(
+        cp=([[0, 0], [0, 0]], [[1, 0], [0, 0]]),
+        ca=([[np.float32(1e-8), 0], [-3, 0]], [[0, 0], [0, 0]]),
+    )
+    xs, jp, ja = value_curves(table, 21)
+    assert xs[11] == 0.55
+    r = solve_g2(table, 0.55)
+    assert r.agent_actions == (0, 0)
+    assert r.principal_cost == pytest.approx(jp[11], abs=1e-12)
+    assert r.agent_cost == pytest.approx(ja[11], abs=1e-12)
+    assert (jp[11], ja[11]) == pytest.approx((0.0, -1.65), abs=1e-12)
+    vertices = next(p.schemes for p in _pair_profiles(table) if p.group == (0, 0))
+    assert any(np.array_equal(r.scheme.columns, v) for v in vertices)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_small_tables())
+@example(load_scenario("scenarioA").table)
+@example(load_scenario("scenarioB").table)
+def test_g1_per_state_costs_are_g2_at_beliefs_one_and_zero(table):
+    # cli._full_information_line reads g1's per-state costs as the g2 values
+    # at beliefs 1 and 0. At belief 1 only state one's cost counts, and every
+    # scheme has some best response in state two, so the pair polytopes
+    # (i, j) over all j make up g1's state-one polytope of response i.
+    g1 = solve_g1(table, 0.5)
+    xs, jp, _ = value_curves(table, 2)
+    assert g1.per_state[0].principal_cost == pytest.approx(jp[1], abs=1e-12)
+    assert g1.per_state[1].principal_cost == pytest.approx(jp[0], abs=1e-12)
 
 
 def test_principal_curve_midpoint_concavity(table_a, table_b):
