@@ -206,6 +206,17 @@ def _full_information_line(table, beliefs: np.ndarray) -> np.ndarray:
     return beliefs * v1 + (1.0 - beliefs) * v2
 
 
+def _kappa_range(scenario: Scenario, points: int) -> np.ndarray:
+    """The kappas of a kappa sweep: [0, max(4, 2 * kappa)]."""
+    top = max(4.0, 2.0 * scenario.kappa)
+    if not np.isfinite(top):
+        raise ScenarioError(
+            f"{scenario.source}:1: kappa must be at most about 9e307 to sweep over kappa "
+            f"(the sweep runs to 2 * kappa), not {scenario.kappa:g}"
+        )
+    return np.linspace(0.0, top, points)
+
+
 def _sweep(scenario: Scenario, over: str | None, grid: int | None) -> tuple[list[str], list]:
     if scenario.kind == "matrix":
         over = over or "belief"
@@ -214,7 +225,7 @@ def _sweep(scenario: Scenario, over: str | None, grid: int | None) -> tuple[list
             jp1 = _full_information_line(scenario.table, beliefs)
             return ["belief", "j_p1", "j_p2", "j_a2"], zip(beliefs, jp1, jp2, ja2)
         if over == "kappa":
-            kappas = np.linspace(0.0, max(4.0, 2.0 * scenario.kappa), grid)
+            kappas = _kappa_range(scenario, grid)
             rows = []
             for k in kappas:
                 r = solve_g4(scenario.table, scenario.prior, float(k))
@@ -228,7 +239,7 @@ def _sweep(scenario: Scenario, over: str | None, grid: int | None) -> tuple[list
         rows = [(s, qg_g4_cost(p, float(s))) for s in sigmas]
         return ["sigma_w_sq", "total_cost"], rows
     if over == "kappa":
-        kappas = np.linspace(0.0, max(4.0, 2.0 * p.kappa), QG_KAPPA_POINTS if grid is None else grid)
+        kappas = _kappa_range(scenario, QG_KAPPA_POINTS if grid is None else grid)
         rows = []
         for k in kappas:
             r = qg_g4_optimize(QGParams(p.beta, p.z0, p.sigma0_sq, float(k), p.sigma_w_sq))

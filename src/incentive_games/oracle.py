@@ -9,6 +9,21 @@ simplex kernel with the solvers, never the g2 or g3 decision logic.
 
 Default Monte-Carlo seed is fixed (and recorded in every report) so the
 verification suite is reproducible run to run.
+
+The two brute-force kernels never hold a full-size temporary array:
+
+- The pair oracle walks the left-hand samples in blocks of `_PAIR_ROWS`
+  rows. Each pair's weight and mixture use the same formula as one big
+  left-by-right array would, and a minimum over blocks equals the minimum
+  over all pairs, so the value is the same bit for bit.
+- The Monte-Carlo games G1, G2 and G4 use one seed, so their state draws are
+  the same samples. `verify_qg` draws them once, then the G4 channel noise
+  from the same generator: the stream each `oracle_qg_montecarlo` call draws
+  alone. The playout fills one cost buffer in blocks of `_MC_BLOCK` samples
+  (G4 writes its costs over the noise), and the mean and standard deviation
+  are taken over the whole buffer, so every report equals the per-game call
+  field for field. The draws are shared only among the oracle's own games,
+  so the oracle stays independent of the solvers.
 """
 
 from __future__ import annotations
@@ -47,6 +62,11 @@ from incentive_games.qg_games import (
 
 DEFAULT_SEED = 20250817
 _TIE = 1e-9
+# left-hand samples per block of the pair oracle: 32 x 2,001 pairs, 512 kB
+# per temporary
+_PAIR_ROWS = 32
+# samples per block of a Monte-Carlo playout, 128 kB per temporary
+_MC_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -203,15 +223,31 @@ def oracle_envelope_by_pairs(xs, ys, query: float) -> float:
     hits = np.flatnonzero(xs == q)
     if hits.size:
         best = float(ys[hits].min())
-    xl, yl = xs[left][:, None], ys[left][:, None]
-    xr, yr = xs[right][None, :], ys[right][None, :]
-    span = xr - xl
+    xr, yr = xs[right], ys[right]
+    ahead = xr - q
+    # three block buffers, reused: a fresh 0.5 MB array per block would pay
+    # for new pages every time
+    shape = (min(_PAIR_ROWS, left.size), right.size)
+    span, lam, mixed = np.empty(shape), np.empty(shape), np.empty(shape)
+    block_mins = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam = (xr - q) / span
-        mixed = lam * yl + (1.0 - lam) * yr
-    strict = span > 0.0
-    if np.any(strict):
-        best = min(best, float(mixed[strict].min()))
+        for start in range(0, left.size, _PAIR_ROWS):
+            rows = left[start:start + _PAIR_ROWS]
+            s, w, m = span[: rows.size], lam[: rows.size], mixed[: rows.size]
+            np.subtract(xr, xs[rows][:, None], out=s)
+            np.divide(ahead, s, out=w)
+            np.multiply(w, ys[rows][:, None], out=m)
+            np.subtract(1.0, w, out=w)
+            np.multiply(w, yr, out=w)
+            m += w  # lam * yl + (1 - lam) * yr
+            strict = s > 0.0
+            if strict.all():
+                block_mins.append(m.min())
+            elif strict.any():
+                block_mins.append(m[strict].min())
+    if block_mins:
+        # np.min, like the minimum over all pairs at once, propagates a nan
+        best = min(best, float(np.min(block_mins)))
     return best
 
 
@@ -274,50 +310,46 @@ def verify_matrix(table: CostTable, prior, grid_size: int = 2001, kappa: float |
 # ---------------------------------------------------------------------------
 
 
-def _playout(p: QGParams, game: str, rng: np.random.Generator, n: int) -> np.ndarray:
+def _playout_report(p: QGParams, game: str, z: np.ndarray, costs: np.ndarray, seed: int) -> OracleReport:
     """Realized principal costs when everyone follows the committed affine
-    policy and the agent best-responds via its own first-order condition."""
-    theta = p.z0 + math.sqrt(p.sigma0_sq) * rng.standard_normal(n)
-    pol = qg_g2(p).policy
+    policy and the agent best-responds via its own first-order condition,
+    written into `costs`; their mean is compared with the closed form at four
+    standard errors. The state is z0 + sigma0 * z; for G4, `costs` holds the
+    channel's standard normals on entry."""
     constant = 0.0
-    if game == "G1":
-        anchor = theta
-    elif game == "G2":
-        anchor = p.z0
-    elif game == "G4":
-        if not math.isfinite(p.sigma_w_sq):
-            raise ValueError("G4 playout needs a finite channel variance")
-        noise = math.sqrt(p.sigma_w_sq) * rng.standard_normal(n)
-        anchor = (p.sigma_w_sq * p.z0 + p.sigma0_sq * (theta + noise)) / (
-            p.sigma0_sq + p.sigma_w_sq
-        )
-        constant = 0.5 * p.kappa * math.log1p(1.0 / p.sigma_w_sq)
-    else:
-        raise ValueError(f"no playout for game {game!r}")
-    intercept = pol.intercept_slope * anchor
-    slope = 1.0 + pol.q
-    v = slope * (theta - intercept) / (slope * slope + 1.0)  # agent FOC
-    u = pol.q * v + intercept
-    return (theta - u - v) ** 2 + 2.0 * u ** 2 + p.beta * v ** 2 + constant
-
-
-def oracle_qg_montecarlo(
-    p: QGParams, game: str, n_samples: int = 1_000_000, seed: int = DEFAULT_SEED
-) -> OracleReport:
-    """Average realized costs over sampled states (and channel noise for G4)
-    and compare with the closed form at four standard errors."""
     if game == "G1":
         solver = qg_g1(p).principal_cost
     elif game == "G2":
         solver = qg_g2(p).principal_cost
     elif game == "G4":
+        if not math.isfinite(p.sigma_w_sq):
+            raise ValueError("G4 playout needs a finite channel variance")
         solver = qg_g4_cost(p, p.sigma_w_sq)
+        constant = 0.5 * p.kappa * math.log1p(1.0 / p.sigma_w_sq)
     else:
         raise ValueError(f"no Monte-Carlo oracle for game {game!r}")
-    rng = np.random.default_rng(seed)
-    costs = _playout(p, game, rng, n_samples)
+    pol = qg_g2(p).policy
+    slope = 1.0 + pol.q
+    sd = math.sqrt(p.sigma0_sq)
+    n = z.size
+    for start in range(0, n, _MC_BLOCK):
+        block = slice(start, start + _MC_BLOCK)
+        theta = p.z0 + sd * z[block]
+        if game == "G1":
+            anchor = theta
+        elif game == "G2":
+            anchor = p.z0
+        else:
+            noise = math.sqrt(p.sigma_w_sq) * costs[block]
+            anchor = (p.sigma_w_sq * p.z0 + p.sigma0_sq * (theta + noise)) / (
+                p.sigma0_sq + p.sigma_w_sq
+            )
+        intercept = pol.intercept_slope * anchor
+        v = slope * (theta - intercept) / (slope * slope + 1.0)  # agent FOC
+        u = pol.q * v + intercept
+        costs[block] = (theta - u - v) ** 2 + 2.0 * u ** 2 + p.beta * v ** 2 + constant
     mean = float(costs.mean())
-    stderr = float(costs.std(ddof=1)) / math.sqrt(n_samples)
+    stderr = float(costs.std(ddof=1)) / math.sqrt(n)
     return OracleReport(
         quantity=f"{game} expected principal cost",
         solver_value=solver,
@@ -327,17 +359,41 @@ def oracle_qg_montecarlo(
     )
 
 
+def oracle_qg_montecarlo(
+    p: QGParams, game: str, n_samples: int = 1_000_000, seed: int = DEFAULT_SEED
+) -> OracleReport:
+    """Average realized costs over sampled states (and channel noise for G4)
+    and compare with the closed form at four standard errors."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n_samples)
+    costs = np.empty_like(z)
+    if game == "G4":
+        rng.standard_normal(out=costs)
+    return _playout_report(p, game, z, costs, seed)
+
+
+def _montecarlo_reports(p: QGParams, n_samples: int, seed: int) -> list[OracleReport]:
+    """`oracle_qg_montecarlo` on G1, G2 and G4, field for field, from one
+    draw of the state and one cost buffer. G4 needs a finite channel, so an
+    infinite one is checked at sigma_w_sq = 1."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n_samples)
+    costs = np.empty_like(z)
+    reports = [
+        _playout_report(p, "G1", z, costs, seed),
+        _playout_report(p, "G2", z, costs, seed),
+    ]
+    if not math.isfinite(p.sigma_w_sq):
+        p = QGParams(p.beta, p.z0, p.sigma0_sq, p.kappa, sigma_w_sq=1.0)
+    rng.standard_normal(out=costs)
+    reports.append(_playout_report(p, "G4", z, costs, seed))
+    return reports
+
+
 def verify_qg(p: QGParams, n_samples: int = 1_000_000, seed: int = DEFAULT_SEED) -> list[OracleReport]:
     """Monte-Carlo checks for the closed forms plus a dense-grid check of the
     channel optimizer."""
-    reports = [
-        oracle_qg_montecarlo(p, "G1", n_samples, seed),
-        oracle_qg_montecarlo(p, "G2", n_samples, seed),
-    ]
-    g4_params = p
-    if not math.isfinite(p.sigma_w_sq):
-        g4_params = QGParams(p.beta, p.z0, p.sigma0_sq, p.kappa, sigma_w_sq=1.0)
-    reports.append(oracle_qg_montecarlo(g4_params, "G4", n_samples, seed))
+    reports = _montecarlo_reports(p, n_samples, seed)
 
     # dense sweep of the printed cost expression, assembled independently; the
     # cost is flat to round-off below 1e-6, so the argmin is compared above it

@@ -20,9 +20,15 @@ from dataclasses import dataclass, replace
 
 
 def _check_beta(beta: float) -> None:
-    # the closed forms evaluate beta**4, which must stay a finite float
+    # the closed forms evaluate beta**4 and the policy's q = (1 - beta)/beta,
+    # which must stay finite floats
     if not (beta > 0.0 and math.isfinite(beta * beta * beta * beta)):
         raise ValueError("beta must be positive and at most about 1e77 (beta**4 must be finite)")
+    policy = _policy(beta)
+    if not (math.isfinite(policy.q) and math.isfinite(policy.intercept_slope)):
+        raise ValueError(
+            "beta must be at least about 5.6e-309 (the policy's q = (1 - beta)/beta must be finite)"
+        )
 
 
 @dataclass(frozen=True)

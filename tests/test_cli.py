@@ -275,6 +275,40 @@ def test_beta_whose_fourth_power_overflows_exits_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {path}:1: beta must be")
 
 
+def test_beta_whose_policy_overflows_exits_2(tmp_path, capsys):
+    path = tmp_path / "tiny_beta.json"
+    path.write_text(json.dumps({"kind": "qg", "beta": 5e-324, "z0": 1, "sigma0_sq": 4, "kappa": 1}))
+    for command in ("g1", "g2", "g3", "g4", "verify"):
+        assert run(command, str(path)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:1: beta must be at least")
+
+
+def test_smallest_accepted_beta_prints_finite_policy_json(tmp_path, capsys):
+    path = tmp_path / "least_beta.json"
+    path.write_text(json.dumps({"kind": "qg", "beta": 5.56268464626801e-309, "z0": 1, "sigma0_sq": 4, "kappa": 1}))
+    assert run("g1", str(path)) == 0
+
+    def reject(constant):
+        raise AssertionError(f"non-finite {constant} in the report")
+
+    policy = json.loads(capsys.readouterr().out, parse_constant=reject)["policy"]
+    assert policy["q"] > 1e308 and policy["intercept_slope"] < -1e308
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("doc", [
+    {"kind": "matrix", "cp": [[[5, 5], [5, 1]], [[5, 1], [5, 5]]],
+     "ca": [[[4, 3], [2, 3]], [[2, 3], [4, 2]]], "prior": 0.4},
+    {"kind": "qg", "beta": 1.0, "z0": 1.0, "sigma0_sq": 4.0},
+])
+def test_kappa_sweep_whose_range_overflows_exits_2(tmp_path, capsys, doc):
+    """The sweep runs over [0, 2 * kappa]; at kappa = 1e308 that end is inf."""
+    path = tmp_path / "huge_kappa.json"
+    path.write_text(json.dumps({**doc, "kappa": 1e308}))
+    assert run("sweep", str(path), "--over", "kappa", "--grid", "3") == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:1: kappa must be at most")
+
+
 @pytest.mark.parametrize("beta,kappa", [(1.0, 0.0), (0.05, 1e-9)])
 def test_verify_qg_at_free_and_nearly_free_information(tmp_path, capsys, beta, kappa):
     """At kappa = 0 the solver buys channel 0; at kappa = 1e-9 and beta =

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from incentive_games.belief_engine import envelope_from_samples
-from incentive_games.matrix_games import CostTable, agent_value_curve, solve_g2, solve_g3
+from incentive_games.belief_engine import envelope_from_samples, tilde_entropy
+from incentive_games.matrix_games import CostTable, agent_value_curve, solve_g2, solve_g3, value_curves
 from incentive_games.oracle import (
+    _PAIR_ROWS,
     DEFAULT_SEED,
     OracleReport,
     oracle_envelope_by_pairs,
@@ -18,6 +20,7 @@ from incentive_games.oracle import (
     verify_qg,
 )
 from incentive_games.qg_games import QGParams, qg_g2
+from incentive_games.scenarios import load_scenario
 
 REF = QGParams(beta=1.0, z0=1.0, sigma0_sq=4.0, kappa=1.0, sigma_w_sq=4.0)
 
@@ -188,6 +191,88 @@ def test_pair_oracle_matches_hull_walk(values, query):
     assert oracle_envelope_by_pairs(xs, values, query) == pytest.approx(value, abs=1e-10)
 
 
+def _pairs_unblocked(xs, ys, query):
+    """The pair oracle over one left-by-right array of every pair at once."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    q = float(query)
+    left = np.flatnonzero(xs <= q)
+    right = np.flatnonzero(xs >= q)
+    best = math.inf
+    hits = np.flatnonzero(xs == q)
+    if hits.size:
+        best = float(ys[hits].min())
+    xl, yl = xs[left][:, None], ys[left][:, None]
+    xr, yr = xs[right][None, :], ys[right][None, :]
+    span = xr - xl
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = (xr - q) / span
+        mixed = lam * yl + (1.0 - lam) * yr
+    strict = span > 0.0
+    if np.any(strict):
+        best = min(best, float(mixed[strict].min()))
+    return best
+
+
+_unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+_level = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+
+
+@st.composite
+def _pair_inputs(draw):
+    """Samples spanning [0, 1] in any order, some on a coarse grid (duplicate
+    xs), with random or constant values, and a query at 0, at 1, on a sample
+    or anywhere. With up to 3 blocks of samples, the query at 1 puts every
+    sample on the left."""
+    inner = draw(st.lists(st.one_of(_unit, st.sampled_from([0.25, 0.5, 0.75])), max_size=3 * _PAIR_ROWS + 5))
+    xs = [0.0, 1.0, *inner]
+    if draw(st.booleans()):
+        ys = [draw(_level)] * len(xs)
+    else:
+        ys = draw(st.lists(_level, min_size=len(xs), max_size=len(xs)))
+    query = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.sampled_from(xs), _unit))
+    return xs, ys, query
+
+
+def _grid_inputs(n: int, query: float):
+    xs = np.linspace(0.0, 1.0, n)
+    return xs, np.cos(7.0 * xs), query
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_pair_inputs())
+@example(_grid_inputs(_PAIR_ROWS - 1, 1.0))   # left samples below one block
+@example(_grid_inputs(_PAIR_ROWS, 1.0))       # exactly one block
+@example(_grid_inputs(_PAIR_ROWS + 1, 1.0))   # across two blocks
+@example(_grid_inputs(2 * _PAIR_ROWS + 1, 0.5))  # two blocks, the query on a sample
+@example(([0.0, 0.5, 0.5, 0.5, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0], 0.5))
+def test_pair_oracle_blocks_equal_the_unblocked_reference(inputs):
+    xs, ys, query = inputs
+    assert oracle_envelope_by_pairs(xs, ys, query) == _pairs_unblocked(xs, ys, query)
+
+
+@pytest.mark.parametrize("n", [_PAIR_ROWS - 1, _PAIR_ROWS + 1, 2 * _PAIR_ROWS + 3])
+def test_pair_oracle_reaches_every_left_row(n):
+    """A single dip at sample k is the unique cheapest left atom for a query
+    just below 1, so a block that drops any left row changes the value."""
+    xs = np.linspace(0.0, 1.0, n)
+    for k in range(n - 1):
+        ys = np.ones(n)
+        ys[k] = -1.0
+        got = oracle_envelope_by_pairs(xs, ys, 0.999)
+        assert got == _pairs_unblocked(xs, ys, 0.999) < 1.0
+
+
+def test_pair_oracle_equals_the_unblocked_reference_on_the_bundled_curves():
+    for name in ("scenarioA", "scenarioB"):
+        s = load_scenario(name)
+        xs, jp, ja = value_curves(s.table, 2001)
+        net = jp - s.kappa * tilde_entropy(xs, s.prior)
+        for ys in (ja, net):
+            for q in (0.0, s.prior, 0.3, 1.0):
+                assert oracle_envelope_by_pairs(xs, ys, q) == _pairs_unblocked(xs, ys, q)
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo oracle
 # ---------------------------------------------------------------------------
@@ -241,6 +326,43 @@ def test_mc_iterated_expectations_identity():
     for sample in (theta * z_s, z_s ** 2):
         err = 3.0 * sample.std(ddof=1) / math.sqrt(n)
         assert abs(float(sample.mean()) - want) <= err
+
+
+@pytest.mark.parametrize("n_samples", [100_003, 1_000])
+@pytest.mark.parametrize("p", [
+    REF,                                                       # finite channel
+    QGParams(beta=0.5, z0=-2.0, sigma0_sq=9.0, kappa=0.3),     # infinite channel
+    QGParams(beta=2.5, z0=0.7, sigma0_sq=0.0, kappa=0.1, sigma_w_sq=0.25),
+])
+def test_verify_qg_montecarlo_reports_equal_the_per_game_oracle(p, n_samples):
+    """`verify_qg` draws the state once for G1, G2 and G4 and reuses one cost
+    buffer; each report must equal the game's own call field for field.
+    100,003 samples end in a partial block; 1,000 fit in one."""
+    g4 = p if math.isfinite(p.sigma_w_sq) else QGParams(p.beta, p.z0, p.sigma0_sq, p.kappa, 1.0)
+    reports = verify_qg(p, n_samples=n_samples, seed=7)
+    for report, game, params in zip(reports, ("G1", "G2", "G4"), (p, p, g4)):
+        assert report == oracle_qg_montecarlo(params, game, n_samples, seed=7)
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_qg_memory_is_three_sample_arrays():
+    """The state draw, the cost buffer and `std`'s one temporary, 8 MB each
+    at a million samples, plus the blocks and the dense channel sweep."""
+    p = load_scenario("qg_fig4").params
+    assert _traced_peak(lambda: verify_qg(p)) <= 26e6
+
+
+def test_verify_matrix_memory_is_bounded_by_the_pair_blocks():
+    s = load_scenario("scenarioA")
+    assert _traced_peak(lambda: verify_matrix(s.table, s.prior, 2001, s.kappa)) <= 5e6
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,20 @@ def test_params_validation():
     QGParams(beta=1.0, z0=0.0, sigma0_sq=1.0, sigma_w_sq=math.inf)  # allowed
 
 
+# The least beta whose policy q = (1 - beta)/beta is a finite float, found by
+# bisection on the float64 bit patterns.
+_SMALLEST_BETA = 5.56268464626801e-309
+
+
+def test_beta_whose_policy_overflows_is_rejected():
+    with pytest.raises(ValueError, match="beta must be at least"):
+        QGParams(beta=5e-324, z0=0.0, sigma0_sq=1.0)
+    with pytest.raises(ValueError, match="beta must be at least"):
+        QGParams(beta=float(np.nextafter(_SMALLEST_BETA, 0.0)), z0=0.0, sigma0_sq=1.0)
+    policy = qg_g1(QGParams(beta=_SMALLEST_BETA, z0=1.0, sigma0_sq=4.0)).policy
+    assert math.isfinite(policy.q) and math.isfinite(policy.intercept_slope)
+
+
 def test_team_solution_values():
     pol = qg_g2(REF).policy
     assert (pol.ut_slope, pol.vt_slope) == pytest.approx((0.2, 0.4), abs=1e-12)
