@@ -6,9 +6,14 @@ rule (deterministic, cycle-free in exact arithmetic, each pivot one outer
 product) and combinatorial vertex enumeration are both exact enough and fast
 enough. Every variable is a probability, so x >= 0 is the only variable
 domain: each tableau column is a variable of the caller's LP, with no shift,
-mirror or split in between. The lexicographic minimum goes on from the
-final tableau of one solve: a nonbasic column with positive reduced cost is
-zero at every optimum, so it is dropped, and no pinned LP is solved again.
+mirror or split in between. The two phases are separate routines: phase
+one reads only the constraints and returns a read-only feasible tableau, and
+phase two minimizes an objective from a copy of it. So a caller that solves
+many objectives over one polytope runs phase one once per polytope; solve_lp
+and lexicographic_argmin are the two phases run back to back. The
+lexicographic minimum goes on from the final tableau of phase two: a
+nonbasic column with positive reduced cost is zero at every optimum, so it
+is dropped, and no pinned LP is solved again.
 Enumeration checks boundedness with one LP, then solves the candidate bases
 in fixed-size blocks of batched square systems, tests them with one
 feasibility rule (Polytope.contains) and deduplicates in basis order.
@@ -23,6 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -218,11 +224,33 @@ def _bland_simplex(tableau: np.ndarray, basis: np.ndarray, n_vars: int):
         basis[leave] = entering
 
 
-def _two_phase(lp: LinearProgram):
-    """Two-phase dense simplex (Bland's rule): the status, then the final
-    tableau and basis if optimal, and the count of non-artificial columns."""
-    c, A, b, E, f = lp.objective, lp.constraint_matrix, lp.rhs, lp.equality_matrix, lp.equality_rhs
-    n = lp.dim
+class Tableau(NamedTuple):
+    """A simplex tableau and its basis. Rows: the constraints (inequality
+    rows first), then the objective; columns: the region's variables, one
+    slack per inequality row, the artificials, then the rhs. The first
+    n_real columns are the non-artificial ones."""
+
+    array: np.ndarray
+    basis: np.ndarray
+    n_real: int
+
+    def solution(self, objective: np.ndarray) -> LpSolution:
+        """The basic point of this tableau and its objective value."""
+        y = np.zeros(self.array.shape[1] - 1)
+        y[self.basis] = self.array[:-1, -1]
+        x = y[: objective.shape[0]] + 0.0     # no -0.0 in the reported point
+        return LpSolution(LpStatus.OPTIMAL, x, float(objective @ x))
+
+
+def phase_one(region: LinearProgram | Polytope) -> Tableau | None:
+    """Phase one of the two-phase simplex (Bland's rule) over the constraints
+    of `region`; an objective is never read. Returns a feasible basis and its
+    tableau, artificial columns kept, after the artificials still basic at
+    zero are driven out where a pivot exists; None when the constraints are
+    infeasible. The arrays are read-only, so one result can start the phase
+    two of any number of objectives over the same constraints."""
+    A, b, E, f = region.constraint_matrix, region.rhs, region.equality_matrix, region.equality_rhs
+    n = region.dim
     m = A.shape[0] + E.shape[0]
     n_slack = A.shape[0]                    # inequality rows come first
     n_real = n + n_slack
@@ -251,7 +279,7 @@ def _two_phase(lp: LinearProgram):
         phase1 = -tab[-1, -1]
         scale = max(1.0, float(np.max(np.abs(brhs))))
         if status == "unbounded" or phase1 > FEAS_TOL * scale:
-            return LpStatus.INFEASIBLE, None, None, n_real
+            return None
         # drive artificials still basic at zero out where possible; rows where
         # no pivot exists are redundant and their zero artificial stays basic
         for i in np.flatnonzero(basis >= n_real):
@@ -259,36 +287,43 @@ def _two_phase(lp: LinearProgram):
             if cand.size:
                 basis[i] = cand[0]
                 _pivot(tab, i, basis[i])
+    tab.setflags(write=False)
+    basis.setflags(write=False)
+    return Tableau(tab, basis, n_real)
 
-    # phase 2: fresh objective row, artificial columns never re-enter because
-    # the entering scan in _bland_simplex is limited to the first n_real cols
-    tab[-1, :] = 0.0
-    tab[-1, :n] = c
-    for i in range(m):
+
+def phase_two(objective: np.ndarray, start: Tableau) -> Tableau | None:
+    """Phase two on a copy of a phase-one result: minimize `objective` (one
+    entry per variable of the region) from that feasible basis. Returns the
+    optimal tableau, or None when the LP is unbounded. Artificial columns
+    never re-enter because the entering scan in _bland_simplex is limited to
+    the first n_real columns."""
+    tab = start.array.copy()
+    basis = start.basis.copy()
+    tab[-1, :] = 0.0                        # fresh objective row
+    tab[-1, : objective.shape[0]] = objective
+    for i in range(basis.size):
         j = basis[i]
         if tab[-1, j] != 0.0:
             tab[-1] -= tab[-1, j] * tab[i]
-    if _bland_simplex(tab, basis, n_real) == "unbounded":
-        return LpStatus.UNBOUNDED, None, None, n_real
-    return LpStatus.OPTIMAL, tab, basis, n_real
-
-
-def _solution(lp: LinearProgram, tab: np.ndarray, basis: np.ndarray) -> LpSolution:
-    y = np.zeros(tab.shape[1] - 1)
-    y[basis] = tab[:-1, -1]
-    x = y[: lp.dim] + 0.0                 # no -0.0 in the reported point
-    return LpSolution(LpStatus.OPTIMAL, x, float(lp.objective @ x))
+    if _bland_simplex(tab, basis, start.n_real) == "unbounded":
+        return None
+    return Tableau(tab, basis, start.n_real)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Two-phase dense simplex (Bland's rule). Deterministic; minimization."""
-    status, tab, basis, _ = _two_phase(lp)
-    return _solution(lp, tab, basis) if status is LpStatus.OPTIMAL else LpSolution(status)
+    start = phase_one(lp)
+    if start is None:
+        return LpSolution(LpStatus.INFEASIBLE)
+    optimum = phase_two(lp.objective, start)
+    return LpSolution(LpStatus.UNBOUNDED) if optimum is None else optimum.solution(lp.objective)
 
 
-def lexicographic_argmin(lp: LinearProgram) -> LpSolution:
+def lexicographic_descent(objective: np.ndarray, optimum: Tableau) -> LpSolution:
     """The lexicographically smallest optimal point (the lex-min optimal
-    vertex), on the final tableau of one solve (Isermann 1982).
+    vertex), continued in place on the final phase-two tableau of
+    `objective` (Isermann 1982).
 
     At an optimal basis c @ x = z* + sum over nonbasic j of r_j x_j for every
     feasible x, each reduced cost r_j >= 0, so a column with r_j > 0 (beyond
@@ -298,11 +333,9 @@ def lexicographic_argmin(lp: LinearProgram) -> LpSolution:
     no pinned equality and no second phase one. Once every nonbasic column is
     dropped the face is the current vertex, and the walk stops.
     """
-    status, tab, basis, n_real = _two_phase(lp)
-    if status is not LpStatus.OPTIMAL:
-        return LpSolution(status)
+    tab, basis, n_real = optimum
     dropped = np.zeros(n_real, dtype=bool)
-    for t in range(lp.dim):
+    for t in range(objective.shape[0]):
         nonbasic = ~np.isin(np.arange(n_real), basis)
         dropped |= nonbasic & (tab[-1, :n_real] > _PIVOT_TOL)
         if np.all(dropped | ~nonbasic):
@@ -311,7 +344,19 @@ def lexicographic_argmin(lp: LinearProgram) -> LpSolution:
         tab[-1] = -tab[:-1][basis == t].sum(axis=0)     # objective x_t, priced out
         tab[-1, t] += 1.0
         _bland_simplex(tab, basis, n_real)      # x_t >= 0: never unbounded
-    return _solution(lp, tab, basis)
+    return optimum.solution(objective)
+
+
+def lexicographic_argmin(lp: LinearProgram) -> LpSolution:
+    """The lexicographically smallest optimal point of `lp`: phase one, phase
+    two, then lexicographic_descent on the optimal tableau."""
+    start = phase_one(lp)
+    if start is None:
+        return LpSolution(LpStatus.INFEASIBLE)
+    optimum = phase_two(lp.objective, start)
+    if optimum is None:
+        return LpSolution(LpStatus.UNBOUNDED)
+    return lexicographic_descent(lp.objective, optimum)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,13 @@ rule everywhere: the first candidate, in order, whose cost is within
 _OPTIMAL_TOL of the least wins (the first response pair in g2, the first
 response per state in g1, the lexicographically smallest optimal vertex
 within a pair). Every reported scheme is that vertex, so reruns are
-reproducible bit for bit. g3 at an interior prior reads only the cached
-vertex profiles: once they are built it solves no LP.
+reproducible bit for bit. Two per-table caches hold what no belief
+changes. The simplex's phase one of each response pair's LP reads only the
+pair's constraints, so it runs once per polytope (_pair_phase_ones); g2 at
+any belief runs only phase two from a copy of each feasible pair's tableau,
+and its lex-min goes on from the winning pair's phase-two tableau. g3 at an
+interior prior reads only the cached vertex profiles (_pair_profiles): once
+they are built it solves no LP.
 """
 
 from __future__ import annotations
@@ -38,13 +43,13 @@ from incentive_games.belief_engine import (
     tilde_entropy,
 )
 from incentive_games.lp_kernel import (
-    LinearProgram,
-    LpSolution,
     Polytope,
     SolverError,
+    Tableau,
     enumerate_vertices,
-    lexicographic_argmin,
-    solve_lp,
+    lexicographic_descent,
+    phase_one,
+    phase_two,
 )
 
 BEST_RESPONSE_TOL = 1e-8
@@ -273,13 +278,17 @@ def _scheme_key(x: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _first_optimal(solutions: list[LpSolution], what: str) -> int:
-    """Index of the first solved LP whose value is within _OPTIMAL_TOL of the
-    least: the principal's tie rule over LP values."""
-    values = np.array([s.value if s.optimal else np.inf for s in solutions])
+def _first_optimal_lexmin(objectives: list[np.ndarray], starts, what: str) -> tuple[int, np.ndarray]:
+    """Phase two of each LP from its phase-one result (None: an empty
+    polytope); the index of the first LP whose value is within _OPTIMAL_TOL
+    of the least (the principal's tie rule over LP values) and its
+    lex-min optimal point, continued on its phase-two tableau."""
+    optima = [None if s is None else phase_two(c, s) for c, s in zip(objectives, starts)]
+    values = np.array([np.inf if t is None else t.solution(c).value for c, t in zip(objectives, optima)])
     if np.isinf(values.min()):
         raise SolverError(f"no inducible {what}")
-    return int(np.argmax(values <= values.min() + _OPTIMAL_TOL))
+    best = int(np.argmax(values <= values.min() + _OPTIMAL_TOL))
+    return best, lexicographic_descent(objectives[best], optima[best]).point
 
 
 def solve_g1(table: CostTable, prior) -> EquilibriumReport:
@@ -292,21 +301,15 @@ def solve_g1(table: CostTable, prior) -> EquilibriumReport:
     schemes = []
     outcomes = []
     for k in range(2):
-        lps = []
+        objectives, starts = [], []
         for j in range(n):
             rows = _best_response_rows(table, k, j)
             c = np.zeros(m * n)
             c[j * m : (j + 1) * m] = table.cp[k][:, j]
-            lps.append(LinearProgram(
-                objective=c,
-                constraint_matrix=rows,
-                rhs=np.zeros(rows.shape[0]),
-                equality_matrix=eq,
-                equality_rhs=eqr,
-            ))
-        j = _first_optimal([solve_lp(lp) for lp in lps], f"agent response in state {k}")
-        canon = lexicographic_argmin(lps[j])
-        gamma = _to_matrix(canon.point, m, n)
+            objectives.append(c)
+            starts.append(phase_one(Polytope(m * n, rows, np.zeros(rows.shape[0]), eq, eqr)))
+        j, x = _first_optimal_lexmin(objectives, starts, f"agent response in state {k}")
+        gamma = _to_matrix(x, m, n)
         principal_cost = float(gamma[:, j] @ table.cp[k][:, j])
         agent_cost = float(gamma[:, j] @ table.ca[k][:, j])
         schemes.append(gamma)
@@ -336,18 +339,15 @@ def _pair_objective(table: CostTable, i: int, j: int, mu: float) -> np.ndarray:
 def solve_g2(table: CostTable, belief) -> EquilibriumReport:
     """Bayesian game: one state-independent scheme; the response pair with
     the cheapest induced (feasible) scheme wins, the first pair within
-    _OPTIMAL_TOL of the least on ties."""
+    _OPTIMAL_TOL of the least on ties. Each pair's LP starts at phase two
+    from the table's cached phase-one tableau."""
     mu = as_probability(belief)
     m, n = table.m, table.n
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    blocks = [[_best_response_rows(table, k, rec) for rec in range(n)] for k in range(2)]
-    eq, eqr = _column_sum_equalities(m, n)
-    lps = [LinearProgram(_pair_objective(table, i, j, mu), np.vstack([blocks[0][i], blocks[1][j]]),
-                         np.zeros(2 * n - 2), eq, eqr) for i, j in pairs]
-    best = _first_optimal([solve_lp(lp) for lp in lps], "response pair")
+    objectives = [_pair_objective(table, i, j, mu) for i, j in pairs]
+    best, x = _first_optimal_lexmin(objectives, _pair_phase_ones(table), "response pair")
     i, j = pairs[best]
-    canon = lexicographic_argmin(lps[best])
-    gamma = _to_matrix(canon.point, m, n)
+    gamma = _to_matrix(x, m, n)
     outcomes = []
     for k, rec in enumerate((i, j)):
         pc = float(gamma[:, rec] @ table.cp[k][:, rec])
@@ -366,8 +366,18 @@ def solve_g2(table: CostTable, belief) -> EquilibriumReport:
 
 
 # ---------------------------------------------------------------------------
-# vertex profiles and value curves
+# per-table caches: phase-one tableaux, vertex profiles and value curves
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=128)
+def _pair_phase_ones(table: CostTable) -> tuple[Tableau | None, ...]:
+    """Phase one of each response pair's LP, in pair order (None for an
+    empty pair polytope). Phase one reads only the pair's constraints, never
+    the belief, so it runs once per polytope and solve_g2 at every belief
+    starts at phase two. The read-only tableaux keep their artificial
+    columns, so every later pivot is the one a fresh two-phase solve takes."""
+    return tuple(phase_one(_pair_polytope(table, i, j)) for i in range(table.n) for j in range(table.n))
 
 
 @dataclass(frozen=True)

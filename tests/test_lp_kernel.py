@@ -13,6 +13,9 @@ from incentive_games.lp_kernel import (
     SolverError,
     enumerate_vertices,
     lexicographic_argmin,
+    lexicographic_descent,
+    phase_one,
+    phase_two,
     solve_lp,
 )
 from incentive_games.matrix_games import CostTable, _pair_polytope
@@ -323,6 +326,56 @@ def test_lexicographic_argmin_equals_the_enumeration_oracle(lp):
     lexmin = min(optimal, key=lambda v: tuple(np.round(v, 9)))
     assert canon.optimal
     assert np.max(np.abs(canon.point - lexmin)) <= 1e-9
+
+
+def _same_solution(a, b) -> bool:
+    if a.status is not b.status:
+        return False
+    if not a.optimal:
+        return a.point is None and b.point is None
+    return a.point.tobytes() == b.point.tobytes() and a.value.hex() == b.value.hex()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_bounded_lps(), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+def test_phase_two_from_one_phase_one_equals_solve_lp(lp, seeds):
+    # One phase-one result serves every objective over the same constraints:
+    # phase two works on a copy, so each solve is bit for bit the fresh
+    # two-phase solve of its own LP, and so is its lexicographic minimum.
+    start = phase_one(lp)
+    if start is None:
+        assert solve_lp(lp).status is LpStatus.INFEASIBLE
+        return
+    assert not start.array.flags.writeable and not start.basis.flags.writeable
+    before = (start.array.tobytes(), start.basis.tobytes())
+    objectives = [lp.objective] + [np.random.default_rng(s).normal(size=lp.dim) for s in seeds]
+    for c in objectives:
+        fresh = LinearProgram(c, lp.constraint_matrix, lp.rhs, lp.equality_matrix, lp.equality_rhs)
+        optimum = phase_two(c, start)
+        assert optimum is not None
+        assert _same_solution(optimum.solution(c), solve_lp(fresh))
+        assert _same_solution(lexicographic_descent(c, optimum), lexicographic_argmin(fresh))
+    assert (start.array.tobytes(), start.basis.tobytes()) == before
+
+
+def test_phase_two_reports_unbounded_objectives_from_a_shared_start():
+    # x0 - x1 <= 1 over x >= 0: no artificial column, so phase one is the
+    # slack basis; -x0 is unbounded below there, x0 + x1 is not.
+    region = Polytope(dim=2, constraint_matrix=[[1.0, -1.0]], rhs=[1.0])
+    start = phase_one(region)
+    assert start.n_real == 3 and start.array.shape == (2, 4)
+    assert phase_two(np.array([-1.0, 0.0]), start) is None
+    assert solve_lp(region.lp([-1.0, 0.0])).status is LpStatus.UNBOUNDED
+    c = np.array([1.0, 1.0])
+    assert _same_solution(phase_two(c, start).solution(c), solve_lp(region.lp(c)))
+
+
+def test_phase_one_reports_an_empty_region():
+    # x0 + x1 = 1 and x0 + x1 <= 0.5 cannot both hold
+    region = Polytope(dim=2, constraint_matrix=[[1.0, 1.0]], rhs=[0.5],
+                      equality_matrix=[[1.0, 1.0]], equality_rhs=[1.0])
+    assert phase_one(region) is None
+    assert solve_lp(region.lp([1.0, 0.0])).status is LpStatus.INFEASIBLE
 
 
 def test_vertices_satisfy_constraints():

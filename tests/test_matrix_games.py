@@ -1,13 +1,23 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from incentive_games import lp_kernel, matrix_games
 from incentive_games.belief_engine import envelope_from_samples
-from incentive_games.lp_kernel import Polytope, enumerate_vertices
+from incentive_games.lp_kernel import (
+    LinearProgram,
+    Polytope,
+    enumerate_vertices,
+    lexicographic_argmin,
+    solve_lp,
+)
 from incentive_games.matrix_games import (
     CostTable,
     IncentiveScheme,
+    _pair_objective,
+    _pair_phase_ones,
     _pair_polytope,
     _pair_profiles,
     _scheme_key,
@@ -355,6 +365,157 @@ def test_g1_per_state_costs_are_g2_at_beliefs_one_and_zero(table):
     assert g1.per_state[1].principal_cost == pytest.approx(jp[0], abs=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# phase one once per pair polytope
+# ---------------------------------------------------------------------------
+
+
+def _first_optimal_point(lps: list[LinearProgram]) -> tuple[int, np.ndarray]:
+    """The principal's tie rule over fresh two-phase solves: the first LP
+    whose value is within the tie tolerance of the least, and its lex-min
+    point from a second, fresh solve."""
+    values = np.array([s.value if s.optimal else np.inf for s in map(solve_lp, lps)])
+    best = int(np.argmax(values <= values.min() + matrix_games._OPTIMAL_TOL))
+    return best, lexicographic_argmin(lps[best]).point
+
+
+def _bits(actions, gamma, per_state, jp, ja) -> tuple:
+    return (tuple(actions), gamma.tobytes(), float(jp).hex(), float(ja).hex(),
+            tuple((a, float(pc).hex(), float(ac).hex()) for a, pc, ac in per_state))
+
+
+def _report_bits(r) -> tuple:
+    per_state = [(o.agent_action, o.principal_cost, o.agent_cost) for o in r.per_state]
+    return _bits(r.agent_actions, r.scheme.columns, per_state, r.principal_cost, r.agent_cost)
+
+
+def _g2_from_fresh_lps(table: CostTable, mu: float) -> tuple:
+    """solve_g2 with no cache: one LinearProgram per response pair, built and
+    solved from scratch at this belief."""
+    m, n = table.m, table.n
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    lps = [_pair_polytope(table, i, j).lp(_pair_objective(table, i, j, mu)) for i, j in pairs]
+    best, x = _first_optimal_point(lps)
+    gamma = _to_matrix(x, m, n)
+    per_state = [(r, float(gamma[:, r] @ table.cp[k][:, r]), float(gamma[:, r] @ table.ca[k][:, r]))
+                 for k, r in enumerate(pairs[best])]
+    jp = mu * per_state[0][1] + (1.0 - mu) * per_state[1][1]
+    ja = mu * per_state[0][2] + (1.0 - mu) * per_state[1][2]
+    return _bits(pairs[best], IncentiveScheme(gamma).columns, per_state, jp, ja)
+
+
+def _g1_from_fresh_lps(table: CostTable, mu: float) -> tuple:
+    """solve_g1 built on solve_lp and lexicographic_argmin alone: per state,
+    one LinearProgram per agent response."""
+    m, n = table.m, table.n
+    eq = np.kron(np.eye(n), np.ones(m))
+    schemes, per_state = [], []
+    for k in range(2):
+        lps = []
+        for j in range(n):
+            rows = matrix_games._best_response_rows(table, k, j)
+            c = np.zeros(m * n)
+            c[j * m : (j + 1) * m] = table.cp[k][:, j]
+            lps.append(LinearProgram(c, rows, np.zeros(rows.shape[0]), eq, np.ones(n)))
+        j, x = _first_optimal_point(lps)
+        gamma = _to_matrix(x, m, n)
+        schemes.append(gamma)
+        per_state.append((j, float(gamma[:, j] @ table.cp[k][:, j]), float(gamma[:, j] @ table.ca[k][:, j])))
+    jp = sum(w * pc for w, (_, pc, _) in zip((mu, 1.0 - mu), per_state))
+    ja = sum(w * ac for w, (_, _, ac) in zip((mu, 1.0 - mu), per_state))
+    actions = (per_state[0][0], per_state[1][0])
+    return _bits(actions, IncentiveScheme(np.stack(schemes)).columns, per_state, jp, ja)
+
+
+def _dominant_column_table() -> CostTable:
+    """The agent's second action is strictly dominant in both states, so
+    three of the four pair polytopes are empty."""
+    return CostTable(
+        cp=([[1.0, 2.0], [3.0, 1.0]], [[2.0, 1.0], [1.0, 3.0]]),
+        ca=([[5.0, 1.0], [5.0, 1.0]], [[4.0, 0.0], [4.0, 0.0]]),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_small_tables(), _priors)
+@example(_dominant_column_table(), 0.5)
+@example(load_scenario("scenarioA").table, 0.37)
+@example(load_scenario("scenarioB").table, 0.123456789)
+def test_g2_from_cached_phase_one_equals_fresh_lps_bit_for_bit(table, mu):
+    # The first belief fills the table's phase-one cache, the later ones
+    # start every pair at phase two from it; each must be the fresh solve's
+    # pair, scheme and costs, empty pairs included.
+    for belief in (0.0, mu, 1.0):
+        assert _report_bits(solve_g2(table, belief)) == _g2_from_fresh_lps(table, belief)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_small_tables(), _priors)
+@example(load_scenario("scenarioA").table, 0.4)
+@example(load_scenario("scenarioB").table, 0.6)
+def test_g1_equals_fresh_lps_bit_for_bit(table, mu):
+    # solve_g1 continues each state's lex-min on the winning phase-two
+    # tableau instead of solving that LP again
+    assert _report_bits(solve_g1(table, mu)) == _g1_from_fresh_lps(table, mu)
+
+
+def test_g2_runs_phase_one_once_per_pair_polytope(monkeypatch):
+    table = _dominant_column_table()        # a new object: nothing cached
+    counts = Counter()
+
+    def spy(name, real):
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+        return counted
+
+    # matrix_games and lp_kernel each bind the phase routines; a spy in
+    # both namespaces also sees solve_lp and lexicographic_argmin
+    for name in ("phase_one", "phase_two"):
+        real = getattr(lp_kernel, name)
+        monkeypatch.setattr(lp_kernel, name, spy(name, real))
+        monkeypatch.setattr(matrix_games, name, spy(name, real))
+
+    first = solve_g2(table, 0.3)
+    assert counts == {"phase_one": 4, "phase_two": 1}    # one feasible pair
+    starts = _pair_phase_ones(table)
+    assert [s is None for s in starts] == [True, True, True, False]
+    cached = [(s.array.tobytes(), s.basis.tobytes()) for s in starts if s is not None]
+    assert all(not s.array.flags.writeable and not s.basis.flags.writeable for s in starts if s)
+    counts.clear()
+    second = solve_g2(table, 0.8)       # another belief, lex-min included
+    assert counts == {"phase_two": 1}
+    assert first.agent_actions == second.agent_actions == (1, 1)
+    assert [(s.array.tobytes(), s.basis.tobytes()) for s in starts if s is not None] == cached
+
+
+# A 2x3 table with entries at float32 scale. At belief 0.7000000000000001
+# the simplex pivots pair (0, 0) on a 3.7e-9 element, just above its
+# absolute 1e-9 pivot tolerance; the tableau reaches 2.3e16 and the LP
+# reports as optimal a point that breaks a row by 0.578. solve_g2 then reads
+# -2.975, while value_curves, oracle_g2_by_enumeration and HiGHS over all
+# nine pairs give -3.627.
+TINY_PIVOT_TABLE = CostTable(
+    cp=(
+        [[-4.4372687339782715, -3.9484379291534424, 2.9042818546295166],
+         [-4.207416534423828, 0.0, -2.8922951221466064]],
+        [[0.0, 4.0, 0.8374664783477783], [0.0, -2.152698516845703, -0.0]],
+    ),
+    ca=(
+        [[3.3953866958618164, -0.0, -1.2279051542282104], [-0.0, 0.75, 1.412663459777832]],
+        [[0.0, 2.8798210620880127, -4.737743377685547],
+         [1.1920928955078125e-07, -3.261648178100586, 4.0158915519714355]],
+    ),
+)
+
+
+@pytest.mark.xfail(strict=True, reason="the simplex accepts a 3.7e-9 pivot and reports an infeasible point as optimal")
+def test_g2_equals_the_value_curves_where_a_tiny_pivot_breaks_a_row():
+    xs, jp, _ = value_curves(TINY_PIVOT_TABLE, 11)
+    assert xs[7] == 0.7000000000000001
+    assert solve_g2(TINY_PIVOT_TABLE, xs[7]).principal_cost == pytest.approx(jp[7], abs=1e-9)
+
+
 def test_principal_curve_midpoint_concavity(table_a, table_b):
     for table in (table_a, table_b):
         _, vals = principal_value_curve(table, 401)
@@ -496,16 +657,18 @@ def test_g3_properties_random(table, prior):
 
 
 def test_g3_at_an_interior_prior_solves_no_lp(table_b, monkeypatch):
+    # Every simplex phase of every LP, phase one or two, solve_lp or not,
+    # pivots through lp_kernel._bland_simplex, so counting its calls counts
+    # all LP work.
     _pair_profiles(table_b)
     calls = []
-    real = lp_kernel.solve_lp
+    real = lp_kernel._bland_simplex
 
-    def counted(lp):
-        calls.append(lp)
-        return real(lp)
+    def counted(tableau, basis, n_vars):
+        calls.append(tableau.shape)
+        return real(tableau, basis, n_vars)
 
-    monkeypatch.setattr(lp_kernel, "solve_lp", counted)
-    monkeypatch.setattr(matrix_games, "solve_lp", counted)
+    monkeypatch.setattr(lp_kernel, "_bland_simplex", counted)
     for prior in (0.3, 0.75):
         solve_g3(table_b, prior)
     assert calls == []
