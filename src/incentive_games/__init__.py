@@ -23,6 +23,7 @@ from incentive_games.lp_kernel import (
     LpSolution,
     LpStatus,
     Polytope,
+    enumerate_bounded_vertices,
     enumerate_vertices,
     lexicographic_argmin,
     solve_lp,
@@ -84,6 +85,7 @@ __all__ = [
     "agent_value_curve",
     "collect_xi",
     "disclosure_coefficient",
+    "enumerate_bounded_vertices",
     "enumerate_vertices",
     "envelope_from_samples",
     "lexicographic_argmin",

@@ -14,9 +14,15 @@ and lexicographic_argmin are the two phases run back to back. The
 lexicographic minimum goes on from the final tableau of phase two: a
 nonbasic column with positive reduced cost is zero at every optimum, so it
 is dropped, and no pinned LP is solved again.
-Enumeration checks boundedness with one LP, then solves the candidate bases
-in fixed-size blocks of batched square systems, tests them with one
-feasibility rule (Polytope.contains) and deduplicates in basis order.
+Vertex enumeration has one core, enumerate_bounded_vertices: for a sequence
+of bounded, nonempty polytopes of one shape (dim, row count and equality
+rows), such as the response-pair polytopes of one table, it builds the
+rank setup and the candidate bases once, solves the square systems of all
+the polytopes in fixed-size batches, tests them with one feasibility rule
+(Polytope.contains) and deduplicates each polytope's in basis order; a
+polytope's vertices do not depend on the others or on the batch size.
+enumerate_vertices first checks one polytope's boundedness and feasibility
+with one LP, then runs the core on it alone.
 Re-running any routine on the same input is bit-identical.
 Where either one cannot finish (a capped pivot count, a capped number of
 bases) it raises SolverError rather than reporting the input as invalid.
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -336,7 +343,8 @@ def lexicographic_descent(objective: np.ndarray, optimum: Tableau) -> LpSolution
     tab, basis, n_real = optimum
     dropped = np.zeros(n_real, dtype=bool)
     for t in range(objective.shape[0]):
-        nonbasic = ~np.isin(np.arange(n_real), basis)
+        nonbasic = np.ones(n_real, dtype=bool)
+        nonbasic[basis[basis < n_real]] = False
         dropped |= nonbasic & (tab[-1, :n_real] > _PIVOT_TOL)
         if np.all(dropped | ~nonbasic):
             break
@@ -364,10 +372,12 @@ def lexicographic_argmin(lp: LinearProgram) -> LpSolution:
 # ---------------------------------------------------------------------------
 
 _MAX_BASES = 400_000
-# Candidate bases assembled, factored and solved together: large enough that
-# per-block overhead vanishes, small enough that the (block, dim, dim) systems
-# stay a few MB (at the 400k cap with dim 16 the whole batch would be 0.8 GB).
+# The square systems of the candidate bases are assembled, factored and
+# solved in batches of _BASES_PER_BLOCK // 4, across polytopes: enough that
+# per-batch overhead vanishes, few enough that a batch's (batch, dim, dim)
+# systems and their temporaries stay a few MB (about 5 MB at dim 12).
 _BASES_PER_BLOCK = 8192
+_RESIDUAL_TOL = 1e-9     # a candidate system solved worse than this is singular
 
 
 def _bounded_and_feasible(p: Polytope) -> bool:
@@ -384,64 +394,131 @@ def _bounded_and_feasible(p: Polytope) -> bool:
 
 
 def enumerate_vertices(p: Polytope) -> list[np.ndarray]:
-    """All basic feasible solutions of a bounded polytope, deduplicated.
-
-    Combinatorial active-set enumeration: every choice of dim - rank(eq)
-    inequalities (the constraint rows, then -x_t <= 0 for each t in order),
-    made tight together with a maximal independent subset of
-    the equality rows (taken in row order), is solved as a square system and
-    kept if it satisfies every row; the candidate bases go through in
-    lexicographic blocks of _BASES_PER_BLOCK, each one batched array
-    operation per step. A candidate is a new vertex when its L-inf distance to
-    every vertex kept before it, in basis order, exceeds DEDUPE_TOL.
-    Unbounded input raises ValueError; more than _MAX_BASES candidate bases
-    raise SolverError before any is built.
-    """
-    d = p.dim
+    """All basic feasible solutions of a bounded polytope, deduplicated, in
+    basis order (see enumerate_bounded_vertices). One LP first decides that
+    `p` is bounded (ValueError if not) and nonempty ([] if empty)."""
     if not _bounded_and_feasible(p):
         return []
+    return enumerate_bounded_vertices([p])[0]
 
-    G = np.vstack([p.constraint_matrix, -np.eye(d)])    # x >= 0 as -x <= 0
-    h = np.concatenate([p.rhs, np.zeros(d)])
+
+def enumeration_setup(p: Polytope) -> tuple[np.ndarray, np.ndarray]:
+    """The equality rows that every candidate basis of `p` makes tight (a
+    maximal independent subset, in row order) and their rhs. Raises
+    SolverError when `p` has more than _MAX_BASES candidate bases, before any
+    is built."""
     keep: list[int] = []
     for r in range(p.equality_matrix.shape[0]):
         if np.linalg.matrix_rank(p.equality_matrix[keep + [r]]) > len(keep):
             keep.append(r)
-    E, f = p.equality_matrix[keep], p.equality_rhs[keep]
-    n_eq = len(keep)
-    k = d - n_eq
-    n_bases = math.comb(G.shape[0], k)
+    n_bases = math.comb(p.constraint_matrix.shape[0] + p.dim, p.dim - len(keep))
     if n_bases > _MAX_BASES:
         raise SolverError(
             f"vertex enumeration would examine {n_bases} bases (limit {_MAX_BASES}); "
             "polytope too large for combinatorial enumeration"
         )
+    return p.equality_matrix[keep], p.equality_rhs[keep]
 
-    combos = itertools.combinations(range(G.shape[0]), k)
-    unique: list[np.ndarray] = []
-    for start in range(0, n_bases, _BASES_PER_BLOCK):
-        b = min(_BASES_PER_BLOCK, n_bases - start)
-        idx = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, b)),
-                          dtype=np.intp, count=b * k).reshape(b, k)
-        mats = np.empty((b, d, d))
-        rhss = np.empty((b, d))
+
+def _candidate_index(G: np.ndarray, E: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Every choice of dim - len(E) rows of the inequality rows G (stacked
+    per polytope, the x_t >= 0 rows last), in lexicographic order, as an
+    index array; minus two kinds of choice that give no vertex:
+    - one with a row that is zero in every polytope: the system is singular,
+      its LU keeps that row zero, and det is exactly 0;
+    - one whose x_t >= 0 rows zero the whole support of an equality row with
+      |rhs| > 2 * _RESIDUAL_TOL * (1 + sum of |coefficients|): the system
+      forces |x_t| <= _RESIDUAL_TOL there, so the computed residual on the
+      equality row exceeds _RESIDUAL_TOL.
+    """
+    n_rows, d = G.shape[1:]
+    k = d - E.shape[0]
+    n_bases = math.comb(n_rows, k)
+    combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n_rows), k)),
+                         dtype=np.min_scalar_type(n_rows), count=n_bases * k).reshape(n_bases, k)
+    excluded = [(np.flatnonzero(~np.any(G, axis=(0, 2))), 1)]     # rows zero in every polytope
+    for row, rhs in zip(E, f):
+        if abs(rhs) > 2 * _RESIDUAL_TOL * (1 + np.sum(np.abs(row))):
+            support = np.flatnonzero(row)
+            excluded.append((n_rows - d + support, support.size))
+    chosen = np.zeros(n_rows, dtype=bool)
+    for rows, needed in excluded:
+        chosen[:] = False
+        chosen[rows] = True
+        combos = combos[np.count_nonzero(chosen[combos], axis=1) < needed]
+    return combos
+
+
+def enumerate_bounded_vertices(polytopes: Iterable[Polytope]) -> list[list[np.ndarray]]:
+    """The vertices of each of a sequence of bounded, nonempty polytopes that
+    share dim, the number of constraint rows and the equality rows (say the
+    response-pair polytopes of one table): per polytope, its basic feasible
+    solutions, deduplicated, in basis order.
+
+    Combinatorial active-set enumeration: every choice of dim - rank(eq)
+    inequalities (the constraint rows, then -x_t <= 0 for each t in order),
+    made tight together with a maximal independent subset of the equality
+    rows (taken in row order), is solved as a square system and kept if it
+    satisfies every row of its polytope (Polytope.contains). The rank setup
+    and the candidate index array are built once for all the polytopes; the
+    systems, polytope by polytope and each polytope's bases in lexicographic
+    order, go through in batches of a quarter of _BASES_PER_BLOCK, each step
+    one batched array operation whose per-system result does not depend on
+    the batch. A candidate is a new vertex of its polytope when its L-inf
+    distance to every vertex kept before it exceeds DEDUPE_TOL. More than
+    _MAX_BASES candidate bases per polytope raise SolverError before any is
+    built. Feasibility and boundedness are the caller's to establish.
+    """
+    polytopes = list(polytopes)
+    if not polytopes:
+        return []
+    p0 = polytopes[0]
+    d, n_ineq = p0.dim, p0.constraint_matrix.shape[0]
+    for p in polytopes:
+        if (p.dim != d or p.constraint_matrix.shape[0] != n_ineq
+                or not np.array_equal(p.equality_matrix, p0.equality_matrix)
+                or not np.array_equal(p.equality_rhs, p0.equality_rhs)):
+            raise ValueError("batched polytopes must share dim, row count and equality rows")
+    E, f = enumeration_setup(p0)
+    n_eq = E.shape[0]
+    G = np.stack([np.vstack([p.constraint_matrix, -np.eye(d)]) for p in polytopes])   # x >= 0 as -x <= 0
+    h = np.stack([np.concatenate([p.rhs, np.zeros(d)]) for p in polytopes])
+    combos = _candidate_index(G, E, f)
+    # max |entry| of a system is the max over its rows' maxima: max is exact
+    row_max = np.max(np.abs(G), axis=2)
+    eq_max = float(np.max(np.abs(E))) if n_eq else 0.0
+    unique: list[list[np.ndarray]] = [[] for _ in polytopes]
+    n_cand = combos.shape[0]
+    batch = max(1, _BASES_PER_BLOCK // 4)
+    for start in range(0, len(polytopes) * n_cand, batch):
+        owner, c = np.divmod(np.arange(start, min(start + batch, len(polytopes) * n_cand)), n_cand)
+        rows = combos[c]
+        mats = np.empty((c.size, d, d))
+        rhss = np.empty((c.size, d))
         mats[:, :n_eq] = E
         rhss[:, :n_eq] = f
-        mats[:, n_eq:] = G[idx]
-        rhss[:, n_eq:] = h[idx]
+        mats[:, n_eq:] = G[owner[:, None], rows]
+        rhss[:, n_eq:] = h[owner[:, None], rows]
+        scale = np.max(row_max[owner[:, None], rows], axis=1, initial=eq_max)
         with np.errstate(all="ignore"):
             dets = np.linalg.det(mats)
-        ok = np.abs(dets) > 1e-12 * np.maximum(1.0, np.max(np.abs(mats), axis=(1, 2)) ** d)
-        mats, rhss = mats[ok], rhss[ok]
+        ok = np.abs(dets) > 1e-12 * np.maximum(1.0, scale ** d)
+        mats, rhss, owner = mats[ok], rhss[ok], owner[ok]
         xs = np.linalg.solve(mats, rhss[..., None])[..., 0]
         resid = np.max(np.abs(np.einsum("bij,bj->bi", mats, xs) - rhss), axis=1)
-        xs = xs[~(resid > 1e-9) & np.all(np.isfinite(xs), axis=1)]
-        pts = xs[p.contains(xs)]
-        # Greedy dedupe in basis order, one pass per kept vertex: the earliest
-        # remaining candidate is always kept, and drops every later one near it.
-        for u in unique:
-            pts = pts[np.max(np.abs(pts - u), axis=1) > DEDUPE_TOL]
-        while len(pts):
-            unique.append(pts[0].copy())
-            pts = pts[np.max(np.abs(pts - pts[0]), axis=1) > DEDUPE_TOL]
+        # x >= -FEAS_TOL is also a test of contains: checked here for the
+        # whole batch, it leaves contains fewer points per polytope
+        good = ~(resid > _RESIDUAL_TOL) & np.all(np.isfinite(xs) & (xs >= -FEAS_TOL), axis=1)
+        xs, owner = xs[good], owner[good]
+        for q in owner[np.flatnonzero(np.diff(owner, prepend=-1))]:   # owner is sorted
+            pts = xs[owner == q]
+            pts = pts[polytopes[q].contains(pts)]
+            # Greedy dedupe in basis order, one pass per kept vertex: the
+            # earliest remaining candidate is always kept, and drops every
+            # later one near it.
+            for u in unique[q]:
+                pts = pts[np.abs(pts - u).max(axis=1) > DEDUPE_TOL]
+            while len(pts):
+                unique[q].append(pts[0].copy())
+                pts = pts[np.abs(pts - pts[0]).max(axis=1) > DEDUPE_TOL]
     return unique

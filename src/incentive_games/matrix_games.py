@@ -24,9 +24,11 @@ reproducible bit for bit. Two per-table caches hold what no belief
 changes. The simplex's phase one of each response pair's LP reads only the
 pair's constraints, so it runs once per polytope (_pair_phase_ones); g2 at
 any belief runs only phase two from a copy of each feasible pair's tableau,
-and its lex-min goes on from the winning pair's phase-two tableau. g3 at an
-interior prior reads only the cached vertex profiles (_pair_profiles): once
-they are built it solves no LP.
+and its lex-min goes on from the winning pair's phase-two tableau. The
+vertex profiles (_pair_profiles) read which pairs are empty from the same
+phase ones and enumerate the vertices of all the nonempty pair polytopes in
+one batched pass, with no LP of their own. g3 at an interior prior reads
+only the cached vertex profiles: once they are built it solves no LP.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from incentive_games.lp_kernel import (
     Polytope,
     SolverError,
     Tableau,
-    enumerate_vertices,
+    enumerate_bounded_vertices,
+    enumeration_setup,
     lexicographic_descent,
     phase_one,
     phase_two,
@@ -260,10 +263,11 @@ def _pair_polytope(table: CostTable, i: int, j: int) -> Polytope:
 
 
 def _to_matrix(x: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Reshape a stacked-columns LP point into an (m, n) scheme, washing out
-    solver residue: clip tiny negatives and rescale each column to sum to 1."""
-    gamma = np.clip(x.reshape(n, m).T, 0.0, None) + 0.0
-    sums = gamma.sum(axis=0)
+    """Reshape a stacked-columns LP point (d,) into an (m, n) scheme, or a
+    stack of them (B, d) into (B, m, n), washing out solver residue: clip
+    tiny negatives and rescale each column to sum to 1."""
+    gamma = np.clip(np.swapaxes(x.reshape(*x.shape[:-1], n, m), -1, -2), 0.0, None) + 0.0
+    sums = gamma.sum(axis=-2, keepdims=True)
     if np.any(sums < 0.5):
         raise SolverError("scheme column collapsed; LP solution is not a distribution")
     return gamma / sums
@@ -390,21 +394,31 @@ class _PairProfile:
 
 @lru_cache(maxsize=128)
 def _pair_profiles(table: CostTable) -> tuple[_PairProfile, ...]:
+    """The vertices of every nonempty response-pair polytope, each pair's
+    sorted by _scheme_key, with their per-state costs. The pair polytopes
+    share their shape, so a table too large to enumerate fails first, before
+    any phase one. Which pairs are empty is read from _pair_phase_ones; every
+    pair polytope is bounded (each variable lies in a column-sum row with
+    x >= 0), so the nonempty ones go through enumerate_bounded_vertices
+    together and no LP is solved here."""
+    m, n = table.m, table.n
+    enumeration_setup(_pair_polytope(table, 0, 0))
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    pairs = [pair for pair, start in zip(pairs, _pair_phase_ones(table)) if start is not None]
+    vertices = enumerate_bounded_vertices([_pair_polytope(table, i, j) for i, j in pairs])
     profiles = []
-    for i in range(table.n):
-        for j in range(table.n):
-            verts = enumerate_vertices(_pair_polytope(table, i, j))
-            if not verts:
-                continue
-            verts = sorted(verts, key=_scheme_key)
-            mats = [_to_matrix(v, table.m, table.n) for v in verts]
-            p = np.array(
-                [[g[:, i] @ table.cp[0][:, i], g[:, j] @ table.cp[1][:, j]] for g in mats]
-            )
-            a = np.array(
-                [[g[:, i] @ table.ca[0][:, i], g[:, j] @ table.ca[1][:, j]] for g in mats]
-            )
-            profiles.append(_PairProfile((i, j), np.stack(mats), p, a))
+    for (i, j), verts in zip(pairs, vertices):
+        if not verts:
+            continue
+        verts = np.array(verts)
+        keys = np.round(verts, 9) + 0.0         # _scheme_key of each vertex
+        mats = _to_matrix(verts[np.lexsort(keys.T[::-1])], m, n)
+        # per vertex, state one's cost at response i and state two's at j:
+        # (1, m) @ (m, 1) products, the dot products of a scheme's columns
+        p, a = (np.concatenate([mats[:, None, :, i] @ c[0][:, i, None],
+                                mats[:, None, :, j] @ c[1][:, j, None]], axis=1)[..., 0]
+                for c in (table.cp, table.ca))
+        profiles.append(_PairProfile((i, j), np.ascontiguousarray(mats), p, a))
     if not profiles:
         raise SolverError("no inducible response pair")
     return tuple(profiles)

@@ -11,6 +11,7 @@ from incentive_games.lp_kernel import (
     LpStatus,
     Polytope,
     SolverError,
+    enumerate_bounded_vertices,
     enumerate_vertices,
     lexicographic_argmin,
     lexicographic_descent,
@@ -519,6 +520,69 @@ def test_batched_enumeration_equals_the_per_basis_reference(block, seed, make):
         return
     assert len(fast) == len(slow)
     assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
+
+
+def _polytope_family(rng) -> list[Polytope]:
+    """One to four polytopes that share dim, row count and equality rows.
+    x lies in one simplex or in two, so a choice of x_t >= 0 rows can zero a
+    whole equality row; the rows are real or small integers (degenerate
+    vertices); now and then one row is zero in every polytope, which makes
+    every system that holds it singular."""
+    d = int(rng.integers(2, 7))
+    cut = int(rng.integers(1, d)) if d > 2 and rng.integers(0, 2) else d
+    eq = np.array([np.arange(d) < cut, np.arange(d) >= cut], dtype=float)[: 1 if cut == d else 2]
+    k = int(rng.integers(1, 4))
+    zero_row = int(rng.integers(0, k)) if rng.integers(0, 2) else None
+    family = []
+    for _ in range(int(rng.integers(1, 5))):
+        if rng.integers(0, 2):
+            a, r = rng.normal(size=(k, d)), rng.uniform(-0.2, 1.5, k)
+        else:
+            a, r = rng.integers(-2, 3, (k, d)).astype(float), rng.integers(0, 3, k).astype(float)
+        if zero_row is not None:
+            a[zero_row] = 0.0
+            r[zero_row] = abs(r[zero_row])
+        family.append(Polytope(dim=d, constraint_matrix=a, rhs=r,
+                               equality_matrix=eq, equality_rhs=np.ones(eq.shape[0])))
+    return family
+
+
+@pytest.mark.parametrize("block", [lp_kernel._BASES_PER_BLOCK, 5])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000))
+def test_enumeration_of_several_polytopes_equals_the_per_basis_reference(block, seed):
+    # one call for the whole family (with block 5, one system per batch, so
+    # a polytope's bases span many batches) against each polytope alone
+    family = [p for p in _polytope_family(np.random.default_rng(seed)) if lp_kernel._bounded_and_feasible(p)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_kernel, "_BASES_PER_BLOCK", block)
+        batched = enumerate_bounded_vertices(family)
+    assert len(batched) == len(family)
+    for got, p in zip(batched, family):
+        want = _naive_vertices(p)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_candidate_bases_drop_only_systems_that_give_no_vertex():
+    # x in two 2-simplices with no other row: C(4, 2) = 6 choices of two
+    # x_t >= 0 rows, of which {0, 1} and {2, 3} zero a whole simplex
+    eq = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+    G = -np.eye(4)[None]
+    assert lp_kernel._candidate_index(G, eq, np.ones(2)).tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]]
+    # with rhs 0 the zeroed simplex is the vertex 0: nothing is dropped
+    assert len(lp_kernel._candidate_index(G, eq, np.zeros(2))) == 6
+    # a row zero in every polytope of the call never joins a basis; one that
+    # is zero in only some does
+    zero_in_all = np.concatenate([np.zeros((2, 1, 4)), np.broadcast_to(-np.eye(4), (2, 4, 4))], axis=1)
+    assert 0 not in lp_kernel._candidate_index(zero_in_all, eq[:1], np.zeros(1))
+    zero_in_one = zero_in_all.copy()
+    zero_in_one[1, 0] = 1.0
+    assert 0 in lp_kernel._candidate_index(zero_in_one, eq[:1], np.zeros(1))
+    square = Polytope(dim=2, constraint_matrix=np.eye(2), rhs=np.ones(2))
+    assert enumerate_bounded_vertices([]) == []
+    with pytest.raises(ValueError, match="share"):
+        enumerate_bounded_vertices([square, Polytope(dim=2, constraint_matrix=np.eye(3)[:, :2], rhs=np.ones(3))])
 
 
 def _two_by_six_pair_polytope() -> Polytope:

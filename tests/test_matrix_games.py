@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,8 @@ from incentive_games.belief_engine import envelope_from_samples
 from incentive_games.lp_kernel import (
     LinearProgram,
     Polytope,
+    SolverError,
+    enumerate_bounded_vertices,
     enumerate_vertices,
     lexicographic_argmin,
     solve_lp,
@@ -514,6 +517,171 @@ def test_g2_equals_the_value_curves_where_a_tiny_pivot_breaks_a_row():
     xs, jp, _ = value_curves(TINY_PIVOT_TABLE, 11)
     assert xs[7] == 0.7000000000000001
     assert solve_g2(TINY_PIVOT_TABLE, xs[7]).principal_cost == pytest.approx(jp[7], abs=1e-9)
+
+
+# A 3x3 table with cp0[0][1] = -1, ca0[0][1] = float32(1e-8) and every other
+# entry 0. In state one, action 1 is a best response only where
+# gamma[0][1] = 0 (it costs the agent 1e-8 * gamma[0][1] against 0), but
+# Polytope.contains accepts a row broken by up to its absolute FEAS_TOL of
+# 1e-8, so the scheme with gamma[0][1] = 1 stays a vertex of pairs (1, j):
+# value_curves gives jp2(1) = -1.0, while solve_g1's state-one cost is 0.0.
+def _near_feasible_table() -> CostTable:
+    cp0, ca0 = np.zeros((3, 3)), np.zeros((3, 3))
+    cp0[0, 1], ca0[0, 1] = -1.0, np.float32(1e-8)
+    return CostTable(cp=(cp0, np.zeros((3, 3))), ca=(ca0, np.zeros((3, 3))))
+
+
+NEAR_FEASIBLE_TABLE = _near_feasible_table()
+
+
+@pytest.mark.xfail(strict=True, reason="Polytope.contains accepts a best-response row broken by up to FEAS_TOL")
+def test_g1_state_one_cost_is_jp2_at_belief_one_where_a_row_is_broken_within_feas_tol():
+    _, jp, _ = value_curves(NEAR_FEASIBLE_TABLE, 2)
+    assert solve_g1(NEAR_FEASIBLE_TABLE, 0.5).per_state[0].principal_cost == pytest.approx(jp[1], abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# vertex profiles: one batched enumeration per table
+# ---------------------------------------------------------------------------
+
+
+def _profile_bits_pair_by_pair(table: CostTable, vertices) -> list[tuple]:
+    """The vertex profiles as they were built one pair at a time, as bytes:
+    each nonempty pair's vertices (from enumerate_vertices, in pair order)
+    sorted by _scheme_key, each reshaped into a scheme on its own, its costs
+    one dot product each."""
+    m, n = table.m, table.n
+    out = []
+    for (i, j), verts in zip([(i, j) for i in range(n) for j in range(n)], vertices):
+        if not verts:
+            continue
+        mats = []
+        for v in sorted(verts, key=_scheme_key):
+            gamma = np.clip(v.reshape(n, m).T, 0.0, None) + 0.0
+            mats.append(gamma / gamma.sum(axis=0))
+        p = np.array([[g[:, i] @ table.cp[0][:, i], g[:, j] @ table.cp[1][:, j]] for g in mats])
+        a = np.array([[g[:, i] @ table.ca[0][:, i], g[:, j] @ table.ca[1][:, j]] for g in mats])
+        out.append(((i, j), np.stack(mats).tobytes(), p.tobytes(), a.tobytes()))
+    return out
+
+
+@pytest.mark.parametrize("block", [lp_kernel._BASES_PER_BLOCK, 64])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_small_tables())
+@example(_dominant_column_table())
+@example(TINY_PIVOT_TABLE)
+@example(NEAR_FEASIBLE_TABLE)
+@example(load_scenario("scenarioB").table)
+def test_pair_profiles_equal_per_pair_enumeration_bit_for_bit(block, table):
+    # The nonempty pairs go through one batched enumeration (with block 64,
+    # 16 systems per batch, so every batch boundary of a 3x3 table falls
+    # inside a pair); each pair's vertices, and the profiles built from
+    # them, must be what its own enumerate_vertices call gives.
+    table = CostTable(cp=table.cp, ca=table.ca)         # a new object: nothing cached
+    n = table.n
+    polytopes = [_pair_polytope(table, i, j) for i in range(n) for j in range(n)]
+    singly = [enumerate_vertices(p) for p in polytopes]
+    nonempty = [s is not None for s in _pair_phase_ones(table)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_kernel, "_BASES_PER_BLOCK", block)
+        batched = enumerate_bounded_vertices([p for p, ok in zip(polytopes, nonempty) if ok])
+        profiles = _pair_profiles(table)
+    assert all(not verts for verts, ok in zip(singly, nonempty) if not ok)
+    assert len(batched) == sum(nonempty)
+    for got, want in zip(batched, [verts for verts, ok in zip(singly, nonempty) if ok]):
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert [(p.group, p.schemes.tobytes(), p.principal.tobytes(), p.agent.tobytes())
+            for p in profiles] == _profile_bits_pair_by_pair(table, singly)
+    assert all(p.schemes.flags.c_contiguous for p in profiles)
+
+
+def test_pair_profiles_solve_no_lp_and_share_g2_phase_ones(monkeypatch):
+    rng = np.random.default_rng(3)
+    mats = [rng.integers(0, 6, (3, 3)).astype(float) for _ in range(4)]
+    counts = Counter()
+
+    def spy(name, real):
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+        return counted
+
+    for name in ("phase_one", "phase_two"):
+        real = getattr(lp_kernel, name)
+        monkeypatch.setattr(lp_kernel, name, spy(name, real))
+        monkeypatch.setattr(matrix_games, name, spy(name, real))
+
+    table = CostTable(cp=(mats[0], mats[1]), ca=(mats[2], mats[3]))
+    _pair_phase_ones(table)
+    assert counts == {"phase_one": 9}
+    counts.clear()
+    assert _pair_profiles(table)
+    assert counts == {}                 # no phase one, no phase two
+    fresh = CostTable(cp=(mats[0], mats[1]), ca=(mats[2], mats[3]))
+    counts.clear()
+    _pair_profiles(fresh)
+    solve_g2(fresh, 0.4)
+    assert counts["phase_one"] == 9     # n^2 in all: the profiles and g2 share them
+
+
+def _all_indifferent_two_by_six() -> CostTable:
+    # The agent is indifferent everywhere: every best-response row is 0 <= 0,
+    # so each of the 36 pair polytopes is the product of six 2-point
+    # simplices, 64 vertices among C(22, 6) = 74,613 candidate bases.
+    cp = np.arange(12.0).reshape(2, 6)
+    return CostTable(cp=(cp, cp), ca=(np.zeros((2, 6)), np.zeros((2, 6))))
+
+
+def _three_by_three() -> CostTable:
+    # an integer table whose nine pair polytopes are all nonempty: 340
+    # vertices among 9 * 1,716 candidate bases
+    rng = np.random.default_rng(1)
+    mats = [rng.integers(0, 6, (3, 3)).astype(float) for _ in range(4)]
+    return CostTable(cp=(mats[0], mats[1]), ca=(mats[2], mats[3]))
+
+
+@pytest.mark.parametrize("make, limit_mb", [(_three_by_three, 6), (_all_indifferent_two_by_six, 10)])
+def test_pair_profiles_memory_is_bounded_by_the_batch(make, limit_mb):
+    # One batch holds a quarter of _BASES_PER_BLOCK systems whatever the
+    # table: the peak is about 2.6 MB for the 3x3 table (3.7 MB on the first
+    # call in a process) and 5.3 MB for the 2x6 one. All of the 3x3 table's
+    # systems in one batch would peak at 13.9 MB, and the 2x6 table's 1.7
+    # million 12x12 systems at gigabytes.
+    table = make()
+    tracemalloc.start()
+    try:
+        profiles = _pair_profiles(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20
+    if make is _all_indifferent_two_by_six:
+        assert [len(p.schemes) for p in profiles] == [64] * 36
+    else:
+        assert sum(len(p.schemes) for p in profiles) == 340
+
+
+@pytest.mark.parametrize("shape, bases", [((4, 4), 646646), ((3, 5), 1144066)])
+def test_a_table_too_large_to_enumerate_fails_before_any_lp_or_basis(shape, bases, monkeypatch):
+    rng = np.random.default_rng(5)
+    mats = [rng.uniform(0.0, 5.0, shape) for _ in range(4)]
+    table = CostTable(cp=(mats[0], mats[1]), ca=(mats[2], mats[3]))
+    calls = []
+
+    def refused(name):
+        def record(*args):
+            calls.append(name)
+            raise AssertionError(f"{name} ran")
+        return record
+
+    for module in (lp_kernel, matrix_games):
+        monkeypatch.setattr(module, "phase_one", refused("phase_one"))
+    monkeypatch.setattr(lp_kernel, "_candidate_index", refused("_candidate_index"))
+    for _ in range(2):
+        with pytest.raises(SolverError, match=f"would examine {bases} bases"):
+            solve_g3(table, 0.5)
+    assert calls == []
 
 
 def test_principal_curve_midpoint_concavity(table_a, table_b):
