@@ -413,10 +413,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args)
-    except ScenarioError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:     # ScenarioError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (SolverError, RuntimeError) as exc:

@@ -7,8 +7,9 @@ product) and combinatorial vertex enumeration are both exact enough and fast
 enough. Every variable is a probability, so x >= 0 is the only variable
 domain: each tableau column is a variable of the caller's LP, with no shift,
 mirror or split in between. The two phases are separate routines: phase
-one reads only the constraints and returns a read-only feasible tableau, and
-phase two minimizes an objective from a copy of it. So a caller that solves
+one reads only the constraints and returns a read-only feasible tableau, its
+artificial columns and redundant rows deleted, and phase two minimizes an
+objective from a copy of it, every column a candidate. So a caller that solves
 many objectives over one polytope runs phase one once per polytope; solve_lp
 and lexicographic_argmin are the two phases run back to back. The
 lexicographic minimum goes on from the final tableau of phase two: a
@@ -190,21 +191,22 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[rows] -= factors[rows, None] * tableau[row]
 
 
-def _bland_simplex(tableau: np.ndarray, basis: np.ndarray, n_vars: int):
+def _bland_simplex(tableau: np.ndarray, basis: np.ndarray) -> bool:
     """Phase core: minimize the objective row in-place with Bland's rule.
 
     tableau rows: constraints then objective (last row); columns: variables
-    then rhs (last column). Returns "optimal" or "unbounded"; raises
-    SolverError when the phase needs more than _PIVOTS_PER_LINE pivots per
-    tableau row plus column.
+    then rhs (last column), every variable a candidate to enter. Returns True
+    at an optimum and False when an entering column has no leaving row (the
+    objective is unbounded below); raises SolverError when the phase needs
+    more than _PIVOTS_PER_LINE pivots per tableau row plus column.
     """
     m = tableau.shape[0] - 1
     max_pivots = _PIVOTS_PER_LINE * sum(tableau.shape)
     for pivots in itertools.count():
         # Bland: smallest index with negative reduced cost
-        negative = (tableau[-1, :n_vars] < -_PIVOT_TOL).nonzero()[0]
+        negative = (tableau[-1, :-1] < -_PIVOT_TOL).nonzero()[0]
         if not negative.size:
-            return "optimal"
+            return True
         if pivots == max_pivots:
             raise SolverError(
                 f"simplex phase did not finish within {max_pivots} pivots "
@@ -226,20 +228,20 @@ def _bland_simplex(tableau: np.ndarray, basis: np.ndarray, n_vars: int):
                 best = ratio
                 leave = i
         if leave < 0:
-            return "unbounded"
+            return False
         _pivot(tableau, leave, entering)
         basis[leave] = entering
 
 
 class Tableau(NamedTuple):
-    """A simplex tableau and its basis. Rows: the constraints (inequality
-    rows first), then the objective; columns: the region's variables, one
-    slack per inequality row, the artificials, then the rhs. The first
-    n_real columns are the non-artificial ones."""
+    """A feasible simplex tableau of a region and its basis. Rows: the
+    region's constraints (inequality rows first) less any that phase one
+    found redundant, then the objective; columns: the region's variables,
+    one slack per inequality row, then the rhs. It holds no artificial
+    column."""
 
     array: np.ndarray
     basis: np.ndarray
-    n_real: int
 
     def solution(self, objective: np.ndarray) -> LpSolution:
         """The basic point of this tableau and its objective value."""
@@ -252,10 +254,14 @@ class Tableau(NamedTuple):
 def phase_one(region: LinearProgram | Polytope) -> Tableau | None:
     """Phase one of the two-phase simplex (Bland's rule) over the constraints
     of `region`; an objective is never read. Returns a feasible basis and its
-    tableau, artificial columns kept, after the artificials still basic at
-    zero are driven out where a pivot exists; None when the constraints are
-    infeasible. The arrays are read-only, so one result can start the phase
-    two of any number of objectives over the same constraints."""
+    tableau, or None when the constraints are infeasible.
+
+    An artificial column starts each row that no slack starts. Once the
+    artificials' sum is minimized to zero, those still basic are driven out
+    where a pivot exists; a row where none exists is redundant and is deleted,
+    and so are the artificial columns (Bertsimas & Tsitsiklis 1997, section
+    3.5). The arrays are read-only, so one result can start the phase two of
+    any number of objectives over the same constraints."""
     A, b, E, f = region.constraint_matrix, region.rhs, region.equality_matrix, region.equality_rhs
     n = region.dim
     m = A.shape[0] + E.shape[0]
@@ -269,9 +275,8 @@ def phase_one(region: LinearProgram | Polytope) -> Tableau | None:
     need_art = np.flatnonzero(neg | (np.arange(m) >= n_slack))
     basis = n + np.arange(m)
     basis[need_art] = n_real + np.arange(need_art.size)
-    n_total = n_real + need_art.size
 
-    tab = np.zeros((m + 1, n_total + 1))
+    tab = np.zeros((m + 1, n_real + need_art.size + 1))
     tab[:m, :n] = np.vstack([A, E])
     tab[np.arange(n_slack), n + np.arange(n_slack)] = 1.0
     tab[:m, :n_real][neg] *= -1.0         # normalize to nonnegative rhs
@@ -279,32 +284,30 @@ def phase_one(region: LinearProgram | Polytope) -> Tableau | None:
     tab[:m, -1] = brhs
 
     if need_art.size:
-        tab[-1, n_real:n_total] = 1.0
+        tab[-1, n_real:-1] = 1.0
         for i in need_art:                       # price out artificial basics
             tab[-1] -= tab[i]
-        status = _bland_simplex(tab, basis, n_total)
-        phase1 = -tab[-1, -1]
         scale = max(1.0, float(np.max(np.abs(brhs))))
-        if status == "unbounded" or phase1 > FEAS_TOL * scale:
+        # an unbounded phase one is a float pathology: count it as empty
+        if not _bland_simplex(tab, basis) or -tab[-1, -1] > FEAS_TOL * scale:
             return None
-        # drive artificials still basic at zero out where possible; rows where
-        # no pivot exists are redundant and their zero artificial stays basic
         for i in np.flatnonzero(basis >= n_real):
             cand = (np.abs(tab[i, :n_real]) > _PIVOT_TOL).nonzero()[0]
             if cand.size:
                 basis[i] = cand[0]
                 _pivot(tab, i, basis[i])
+        kept = basis < n_real
+        tab = np.delete(tab[np.append(kept, True)], np.s_[n_real:-1], axis=1)
+        basis = basis[kept]
     tab.setflags(write=False)
     basis.setflags(write=False)
-    return Tableau(tab, basis, n_real)
+    return Tableau(tab, basis)
 
 
 def phase_two(objective: np.ndarray, start: Tableau) -> Tableau | None:
     """Phase two on a copy of a phase-one result: minimize `objective` (one
     entry per variable of the region) from that feasible basis. Returns the
-    optimal tableau, or None when the LP is unbounded. Artificial columns
-    never re-enter because the entering scan in _bland_simplex is limited to
-    the first n_real columns."""
+    optimal tableau, or None when the LP is unbounded."""
     tab = start.array.copy()
     basis = start.basis.copy()
     tab[-1, :] = 0.0                        # fresh objective row
@@ -313,9 +316,7 @@ def phase_two(objective: np.ndarray, start: Tableau) -> Tableau | None:
         j = basis[i]
         if tab[-1, j] != 0.0:
             tab[-1] -= tab[-1, j] * tab[i]
-    if _bland_simplex(tab, basis, start.n_real) == "unbounded":
-        return None
-    return Tableau(tab, basis, start.n_real)
+    return Tableau(tab, basis) if _bland_simplex(tab, basis) else None
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -340,18 +341,18 @@ def lexicographic_descent(objective: np.ndarray, optimum: Tableau) -> LpSolution
     no pinned equality and no second phase one. Once every nonbasic column is
     dropped the face is the current vertex, and the walk stops.
     """
-    tab, basis, n_real = optimum
-    dropped = np.zeros(n_real, dtype=bool)
+    tab, basis = optimum
+    dropped = np.zeros(tab.shape[1] - 1, dtype=bool)
     for t in range(objective.shape[0]):
-        nonbasic = np.ones(n_real, dtype=bool)
-        nonbasic[basis[basis < n_real]] = False
-        dropped |= nonbasic & (tab[-1, :n_real] > _PIVOT_TOL)
+        nonbasic = np.ones_like(dropped)
+        nonbasic[basis] = False
+        dropped |= nonbasic & (tab[-1, :-1] > _PIVOT_TOL)
         if np.all(dropped | ~nonbasic):
             break
-        tab[:, :n_real][:, dropped] = 0.0
+        tab[:, :-1][:, dropped] = 0.0
         tab[-1] = -tab[:-1][basis == t].sum(axis=0)     # objective x_t, priced out
         tab[-1, t] += 1.0
-        _bland_simplex(tab, basis, n_real)      # x_t >= 0: never unbounded
+        _bland_simplex(tab, basis)      # x_t >= 0: never unbounded
     return optimum.solution(objective)
 
 

@@ -379,8 +379,8 @@ def _pair_phase_ones(table: CostTable) -> tuple[Tableau | None, ...]:
     """Phase one of each response pair's LP, in pair order (None for an
     empty pair polytope). Phase one reads only the pair's constraints, never
     the belief, so it runs once per polytope and solve_g2 at every belief
-    starts at phase two. The read-only tableaux keep their artificial
-    columns, so every later pivot is the one a fresh two-phase solve takes."""
+    starts at phase two. Phase two works on a copy of a read-only tableau,
+    so every later pivot is the one a fresh two-phase solve takes."""
     return tuple(phase_one(_pair_polytope(table, i, j)) for i in range(table.n) for j in range(table.n))
 
 
@@ -589,10 +589,12 @@ def solve_g3(table: CostTable, prior) -> PersuasionReport:
 
 
 def solve_g4(table: CostTable, prior, kappa: float, grid_size: int = 2001) -> AcquisitionReport:
-    """Grid concavification of the g2 value net of the entropy-reduction
-    channel cost; the supporting split is the principal's optimal acquisition.
-    Gross and agent costs are the g2 curves averaged over the split's atoms,
-    so both come from the same g2 choice at each atom."""
+    """Grid concavification of the per-posterior total cost, the g2 value
+    plus the entropy-reduction channel cost kappa * (1 - h~); the supporting
+    split is the principal's optimal acquisition, and the envelope's value at
+    the prior is the total cost, read off that one objective. Gross and agent
+    costs are the g2 curves averaged over the split's atoms, so both come
+    from the same g2 choice at each atom."""
     mu = as_probability(prior)
     if not (0.0 < mu < 1.0):
         raise ValueError("acquisition needs an interior prior; degenerate beliefs are a g2 problem")
@@ -604,7 +606,7 @@ def solve_g4(table: CostTable, prior, kappa: float, grid_size: int = 2001) -> Ac
 
     beliefs, jp2, ja2 = value_curves(table, grid_size)
     htilde = tilde_entropy(beliefs, mu)
-    value, atoms = envelope_from_samples(beliefs, jp2 - kappa * htilde, mu)
+    total, atoms = envelope_from_samples(beliefs, jp2 + kappa * (1.0 - htilde), mu)
     idx = [int(round(p * (grid_size - 1))) for p, _ in atoms]
 
     def expected(curve: np.ndarray) -> float:
@@ -614,7 +616,7 @@ def solve_g4(table: CostTable, prior, kappa: float, grid_size: int = 2001) -> Ac
         split=PosteriorSplit(atoms),
         gross_cost=expected(jp2),
         channel_cost=kappa * (1.0 - expected(htilde)),
-        total_cost=float(value + kappa),
+        total_cost=float(total),
         agent_cost=expected(ja2),
         kappa=kappa,
         prior=mu,

@@ -293,12 +293,12 @@ def verify_matrix(table: CostTable, prior, grid_size: int = 2001, kappa: float |
         ):
             reports.append(OracleReport(quantity, solver_value, oracle_value, tolerance))
         if kappa is not None and kappa >= 0.0:
-            net = jp - kappa * tilde_entropy(xs, mu)
+            total = jp + kappa * (1.0 - tilde_entropy(xs, mu))
             reports.append(
                 OracleReport(
                     quantity=f"acquisition total at kappa={kappa:g}",
                     solver_value=solve_g4(table, mu, kappa, grid_size).total_cost,
-                    oracle_value=oracle_envelope_by_pairs(xs, net, mu) + kappa,
+                    oracle_value=oracle_envelope_by_pairs(xs, total, mu),
                     tolerance=1e-9,
                 )
             )

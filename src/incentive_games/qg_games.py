@@ -222,11 +222,7 @@ def qg_g4_cost(p: QGParams, sigma_w_sq: float) -> float:
         return _jp2(p.beta, p.z0, p.sigma0_sq)
     mean_var, residual = _posterior_variances(p.sigma0_sq, s)
     channel = 0.5 * p.kappa * math.log1p(1.0 / s)
-    return (
-        2.0 * p.beta * (p.z0 * p.z0 + mean_var) / (3.0 * p.beta + 2.0)
-        + channel
-        + _ignorance_weight(p.beta) * residual
-    )
+    return _jp1(p.beta, p.z0, mean_var) + channel + _ignorance_weight(p.beta) * residual
 
 
 def qg_g4_optimize(p: QGParams) -> QGReport:

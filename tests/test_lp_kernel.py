@@ -364,11 +364,28 @@ def test_phase_two_reports_unbounded_objectives_from_a_shared_start():
     # slack basis; -x0 is unbounded below there, x0 + x1 is not.
     region = Polytope(dim=2, constraint_matrix=[[1.0, -1.0]], rhs=[1.0])
     start = phase_one(region)
-    assert start.n_real == 3 and start.array.shape == (2, 4)
+    assert start.array.shape == (2, 4)
     assert phase_two(np.array([-1.0, 0.0]), start) is None
     assert solve_lp(region.lp([-1.0, 0.0])).status is LpStatus.UNBOUNDED
     c = np.array([1.0, 1.0])
     assert _same_solution(phase_two(c, start).solution(c), solve_lp(region.lp(c)))
+
+
+def test_phase_one_deletes_a_redundant_row_and_every_artificial_column():
+    # The second equality row repeats the first, so once the artificials are
+    # at zero the second one cannot be driven out: its row is all zeros
+    # outside the artificial columns. Phase one deletes that row and both
+    # artificial columns, leaving x0 + x1 = 1 and its basis; phase two from
+    # that tableau is a fresh two-phase solve bit for bit.
+    region = Polytope(dim=2, equality_matrix=[[1.0, 1.0], [1.0, 1.0]], equality_rhs=[1.0, 1.0])
+    start = phase_one(region)
+    assert start.array.shape == (2, 3)              # one row and x0, x1, rhs
+    assert start.basis.tolist() == [0]
+    assert solve_lp(region.lp([1.0, 2.0])).point.tolist() == [1.0, 0.0]
+    for c in (np.array([1.0, 2.0]), np.array([2.0, 1.0]), np.array([1.0, 1.0])):
+        optimum = phase_two(c, start)
+        assert _same_solution(optimum.solution(c), solve_lp(region.lp(c)))
+        assert _same_solution(lexicographic_descent(c, optimum), lexicographic_argmin(region.lp(c)))
 
 
 def test_phase_one_reports_an_empty_region():

@@ -540,6 +540,24 @@ def test_g1_state_one_cost_is_jp2_at_belief_one_where_a_row_is_broken_within_fea
     assert solve_g1(NEAR_FEASIBLE_TABLE, 0.5).per_state[0].principal_cost == pytest.approx(jp[1], abs=1e-12)
 
 
+# NEAR_FEASIBLE_TABLE with ca0[2][1] = 1 as well. The broken row is
+# 1e-8 * gamma[0][1] + gamma[2][1] <= 0, whose largest coefficient is 1, so
+# a FEAS_TOL scaled by the row's largest coefficient still accepts the
+# scheme with gamma[0][1] = 1: value_curves gives jp2(1) = -1.0, while
+# solve_g1's state-one cost is 0.0.
+def _second_near_feasible_table() -> CostTable:
+    cp0, ca0 = np.zeros((3, 3)), np.zeros((3, 3))
+    cp0[0, 1], ca0[0, 1], ca0[2, 1] = -1.0, np.float32(1e-8), 1.0
+    return CostTable(cp=(cp0, np.zeros((3, 3))), ca=(ca0, np.zeros((3, 3))))
+
+
+@pytest.mark.xfail(strict=True, reason="Polytope.contains accepts a best-response row broken by up to FEAS_TOL")
+def test_g1_state_one_cost_is_jp2_at_belief_one_where_a_row_with_a_unit_coefficient_is_broken():
+    table = _second_near_feasible_table()
+    _, jp, _ = value_curves(table, 2)
+    assert solve_g1(table, 0.5).per_state[0].principal_cost == pytest.approx(jp[1], abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # vertex profiles: one batched enumeration per table
 # ---------------------------------------------------------------------------
@@ -832,9 +850,9 @@ def test_g3_at_an_interior_prior_solves_no_lp(table_b, monkeypatch):
     calls = []
     real = lp_kernel._bland_simplex
 
-    def counted(tableau, basis, n_vars):
+    def counted(tableau, basis):
         calls.append(tableau.shape)
-        return real(tableau, basis, n_vars)
+        return real(tableau, basis)
 
     monkeypatch.setattr(lp_kernel, "_bland_simplex", counted)
     for prior in (0.3, 0.75):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from incentive_games.belief_engine import envelope_from_samples, tilde_entropy
-from incentive_games.matrix_games import CostTable, agent_value_curve, solve_g2, solve_g3, value_curves
+from incentive_games.matrix_games import CostTable, agent_value_curve, solve_g2, solve_g3, solve_g4, value_curves
 from incentive_games.oracle import (
     _PAIR_ROWS,
     DEFAULT_SEED,
@@ -382,6 +382,20 @@ def test_verify_matrix_b_all_pass(table_b):
     assert any("acquisition" in r.quantity for r in reports)
     for r in reports:
         assert r.passed, r
+
+
+@pytest.mark.parametrize("name", ["scenarioA", "scenarioB"])
+@pytest.mark.parametrize("kappa", [1e12, 1e15, 1e16, 1e17])
+def test_g4_total_is_gross_plus_channel_at_huge_kappa(name, kappa):
+    # g4's total is the envelope at the prior of jp2 + kappa * (1 - h~), the
+    # total cost of each posterior. The envelope of jp2 - kappa * h~ plus
+    # kappa loses the total to cancellation (scenarioA's 2.6 reads 0.0 at
+    # 1e17), in the solver and in an oracle built the same way alike.
+    s = load_scenario(name)
+    r = solve_g4(s.table, s.prior, kappa)
+    assert r.total_cost == r.gross_cost + r.channel_cost
+    for report in verify_matrix(s.table, s.prior, 2001, kappa):
+        assert report.passed, report
 
 
 def test_verify_qg_all_pass():
