@@ -15,7 +15,7 @@ Subcommands:
 
 Exit codes: 0 success, 2 scenario/validation error, 3 internal solver error,
 4 verification failure. All numbers are printed with 12 significant digits
-and all outputs are deterministic for a fixed scenario and seed.
+and all outputs are deterministic for a fixed scenario.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from incentive_games.matrix_games import (
     solve_g4,
     value_curves,
 )
-from incentive_games.oracle import DEFAULT_SEED, verify_matrix, verify_qg
+from incentive_games.oracle import verify_matrix, verify_qg
 from incentive_games.qg_games import (
     QGParams,
     QGReport,
@@ -288,10 +288,10 @@ def _figure(which: int, scenario: Scenario, grid: int) -> tuple[list[str], list]
     return ["beta", "kappa", "sigma_w_sq", "total_cost"], rows
 
 
-def _verification(scenario: Scenario, grid: int, seed: int) -> list:
+def _verification(scenario: Scenario, grid: int) -> list:
     if scenario.kind == "matrix":
         return verify_matrix(scenario.table, scenario.prior, grid, scenario.kappa)
-    return verify_qg(scenario.params, seed=seed)
+    return verify_qg(scenario.params)
 
 
 def _verification_text(reports) -> str:
@@ -331,8 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default=None,
                        help="output format (default: json for reports, csv for series)")
         p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="S",
-                       help="Monte-Carlo seed for verification")
 
     for game in ("g1", "g2", "g3", "g4"):
         p = sub.add_parser(game, help=f"solve {game} and print the report")
@@ -374,7 +372,7 @@ def _dispatch(args) -> int:
     if args.command in ("g1", "g2", "g3", "g4"):
         doc = _jsonable(_solve(scenario, args.command, args.grid))
         if args.verify:
-            reports = _verification(scenario, args.grid, args.seed)
+            reports = _verification(scenario, args.grid)
             if not all(r.passed for r in reports):
                 sys.stderr.write(_verification_text(reports))
                 return 4
@@ -397,7 +395,7 @@ def _dispatch(args) -> int:
         return 0
 
     # verify
-    reports = _verification(scenario, args.grid, args.seed)
+    reports = _verification(scenario, args.grid)
     if args.format == "json":
         docs = [_jsonable(asdict(r)) for r in reports]
         _emit(json.dumps(docs, indent=2, sort_keys=True) + "\n", args.out)

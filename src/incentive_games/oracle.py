@@ -3,33 +3,27 @@
 Each oracle recomputes a quantity by a deliberately different route — explicit
 vertex enumeration and evaluation instead of simplex optimization, exhaustive
 pair bracketing instead of the hull walk, the obedience LP instead of the
-g3 hull, Monte-Carlo playouts instead of closed forms — so agreement is
-evidence, not tautology. They share only the raw vertex enumerator and the
-simplex kernel with the solvers, never the g2 or g3 decision logic.
+g3 hull, playouts of the committed policy instead of closed forms — so
+agreement is evidence, not tautology. They share only the raw vertex
+enumerator and the simplex kernel with the solvers, never the g2 or g3
+decision logic.
 
-Default Monte-Carlo seed is fixed (and recorded in every report) so the
-verification suite is reproducible run to run.
+`verify_qg` takes the playouts' expectation by Gauss–Hermite quadrature, so
+it draws nothing and needs no seed. `oracle_qg_montecarlo` averages the same
+playouts over sampled states; its default seed is fixed and recorded in its
+report, so it is reproducible run to run.
 
-The two brute-force kernels never hold a full-size temporary array:
-
-- The pair oracle walks the left-hand samples in blocks of `_PAIR_ROWS`
-  rows. Each pair's weight and mixture use the same formula as one big
-  left-by-right array would, and a minimum over blocks equals the minimum
-  over all pairs, so the value is the same bit for bit.
-- The Monte-Carlo games G1, G2 and G4 use one seed, so their state draws are
-  the same samples. `verify_qg` draws them once, then the G4 channel noise
-  from the same generator: the stream each `oracle_qg_montecarlo` call draws
-  alone. The playout fills one cost buffer in blocks of `_MC_BLOCK` samples
-  (G4 writes its costs over the noise), and the mean and standard deviation
-  are taken over the whole buffer, so every report equals the per-game call
-  field for field. The draws are shared only among the oracle's own games,
-  so the oracle stays independent of the solvers.
+The pair oracle never holds a full-size temporary array: it walks the
+left-hand samples in blocks of `_PAIR_ROWS` rows. Each pair's weight and
+mixture use the same formula as one big left-by-right array would, and a
+minimum over blocks equals the minimum over all pairs, so the value is the
+same bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,8 +59,6 @@ _TIE = 1e-9
 # left-hand samples per block of the pair oracle: 32 x 2,001 pairs, 512 kB
 # per temporary
 _PAIR_ROWS = 32
-# samples per block of a Monte-Carlo playout, 128 kB per temporary
-_MC_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -310,53 +302,36 @@ def verify_matrix(table: CostTable, prior, grid_size: int = 2001, kappa: float |
 # ---------------------------------------------------------------------------
 
 
-def _playout_report(p: QGParams, game: str, z: np.ndarray, costs: np.ndarray, seed: int) -> OracleReport:
-    """Realized principal costs when everyone follows the committed affine
-    policy and the agent best-responds via its own first-order condition,
-    written into `costs`; their mean is compared with the closed form at four
-    standard errors. The state is z0 + sigma0 * z; for G4, `costs` holds the
-    channel's standard normals on entry."""
+def _playout(p: QGParams, game: str, z: np.ndarray, noise: np.ndarray | None) -> tuple[float, np.ndarray]:
+    """The closed form of `game` and its realized principal costs at the
+    standard normals z (the state is z0 + sigma0 * z) and, for G4, `noise`
+    (the channel's), under the committed policy u = q*v + c*anchor/beta, where
+    q = (1 - beta)/beta, c = beta * intercept_slope = (beta^2 + 2*beta - 2) /
+    (3*beta + 2), and the anchor is the state (G1), the prior mean (G2) or
+    the posterior mean (G4). The agent's condition (1 + q)*(theta - u - v) = v
+    with 1 + q = 1/beta gives v = (beta*theta - c*anchor)/(1 + beta^2) and
+    u = ((1 - beta)*theta + (1 + beta)*c*anchor)/(1 + beta^2), which hold no
+    term of size q, so nothing cancels at small beta."""
+    theta = p.z0 + math.sqrt(p.sigma0_sq) * z
     constant = 0.0
     if game == "G1":
-        solver = qg_g1(p).principal_cost
+        solver, anchor = qg_g1(p).principal_cost, theta
     elif game == "G2":
-        solver = qg_g2(p).principal_cost
+        solver, anchor = qg_g2(p).principal_cost, p.z0
     elif game == "G4":
-        if not math.isfinite(p.sigma_w_sq):
+        s = p.sigma_w_sq
+        if not math.isfinite(s):
             raise ValueError("G4 playout needs a finite channel variance")
-        solver = qg_g4_cost(p, p.sigma_w_sq)
-        constant = 0.5 * p.kappa * math.log1p(1.0 / p.sigma_w_sq)
+        solver = qg_g4_cost(p, s)
+        constant = 0.5 * p.kappa * math.log1p(1.0 / s)
+        anchor = (s * p.z0 + p.sigma0_sq * (theta + math.sqrt(s) * noise)) / (p.sigma0_sq + s)
     else:
-        raise ValueError(f"no Monte-Carlo oracle for game {game!r}")
-    pol = qg_g2(p).policy
-    slope = 1.0 + pol.q
-    sd = math.sqrt(p.sigma0_sq)
-    n = z.size
-    for start in range(0, n, _MC_BLOCK):
-        block = slice(start, start + _MC_BLOCK)
-        theta = p.z0 + sd * z[block]
-        if game == "G1":
-            anchor = theta
-        elif game == "G2":
-            anchor = p.z0
-        else:
-            noise = math.sqrt(p.sigma_w_sq) * costs[block]
-            anchor = (p.sigma_w_sq * p.z0 + p.sigma0_sq * (theta + noise)) / (
-                p.sigma0_sq + p.sigma_w_sq
-            )
-        intercept = pol.intercept_slope * anchor
-        v = slope * (theta - intercept) / (slope * slope + 1.0)  # agent FOC
-        u = pol.q * v + intercept
-        costs[block] = (theta - u - v) ** 2 + 2.0 * u ** 2 + p.beta * v ** 2 + constant
-    mean = float(costs.mean())
-    stderr = float(costs.std(ddof=1)) / math.sqrt(n)
-    return OracleReport(
-        quantity=f"{game} expected principal cost",
-        solver_value=solver,
-        oracle_value=mean,
-        tolerance=4.0 * stderr + 1e-12 * (1.0 + abs(solver)),
-        seed=seed,
-    )
+        raise ValueError(f"no playout for game {game!r}")
+    b = p.beta
+    c_anchor = b * qg_g2(p).policy.intercept_slope * anchor
+    v = (b * theta - c_anchor) / (1.0 + b * b)
+    u = ((1.0 - b) * theta + (1.0 + b) * c_anchor) / (1.0 + b * b)
+    return solver, (theta - u - v) ** 2 + 2.0 * u ** 2 + b * v ** 2 + constant
 
 
 def oracle_qg_montecarlo(
@@ -366,68 +341,82 @@ def oracle_qg_montecarlo(
     and compare with the closed form at four standard errors."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n_samples)
-    costs = np.empty_like(z)
-    if game == "G4":
-        rng.standard_normal(out=costs)
-    return _playout_report(p, game, z, costs, seed)
-
-
-def _montecarlo_reports(p: QGParams, n_samples: int, seed: int) -> list[OracleReport]:
-    """`oracle_qg_montecarlo` on G1, G2 and G4, field for field, from one
-    draw of the state and one cost buffer. G4 needs a finite channel, so an
-    infinite one is checked at sigma_w_sq = 1."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n_samples)
-    costs = np.empty_like(z)
-    reports = [
-        _playout_report(p, "G1", z, costs, seed),
-        _playout_report(p, "G2", z, costs, seed),
-    ]
-    if not math.isfinite(p.sigma_w_sq):
-        p = QGParams(p.beta, p.z0, p.sigma0_sq, p.kappa, sigma_w_sq=1.0)
-    rng.standard_normal(out=costs)
-    reports.append(_playout_report(p, "G4", z, costs, seed))
-    return reports
-
-
-def verify_qg(p: QGParams, n_samples: int = 1_000_000, seed: int = DEFAULT_SEED) -> list[OracleReport]:
-    """Monte-Carlo checks for the closed forms plus a dense-grid check of the
-    channel optimizer."""
-    reports = _montecarlo_reports(p, n_samples, seed)
-
-    # dense sweep of the printed cost expression, assembled independently; the
-    # cost is flat to round-off below 1e-6, so the argmin is compared above it
-    grid = np.logspace(-12.0, 6.0, 150_001)
-    b, z, s0, k = p.beta, p.z0, p.sigma0_sq, p.kappa
-    mean_var = s0 * s0 / (s0 + grid)
-    residual = s0 * grid / (s0 + grid)
-    w = b * b
-    curve = (
-        2.0 * b * (z * z + mean_var) / (3.0 * b + 2.0)
-        + 0.5 * k * np.log1p(1.0 / grid)
-        + (w * w + w * b + 2.0 * w - 4.0 * b + 2.0) / (w + 1.0) ** 2 * residual
+    noise = rng.standard_normal(n_samples) if game == "G4" else None
+    solver, costs = _playout(p, game, z, noise)
+    stderr = float(costs.std(ddof=1)) / math.sqrt(n_samples)
+    return OracleReport(
+        quantity=f"{game} expected principal cost",
+        solver_value=solver,
+        oracle_value=float(costs.mean()),
+        tolerance=4.0 * stderr + 1e-12 * (1.0 + abs(solver)),
+        seed=seed,
     )
+
+
+def _quadrature_report(p: QGParams, game: str) -> OracleReport:
+    """The playout's expectation by the 3 x 3 Gauss-Hermite product rule,
+    compared with the closed form. The realized cost has degree 2 in the two
+    standard normals and an n-node rule is exact to degree 2n - 1 (Golub &
+    Welsch 1969, Math. Comp. 23), so only rounding separates the two. Each
+    cost is (1 + beta)*beta*v^2 + 2*u^2 plus the channel price (theta - u - v
+    = beta*v), a sum of nonnegative terms, and the nine weights are positive
+    and sum to 1, so both sides are good to a few dozen ulp of the cost's
+    scale: 3.5e-15 relative at worst on 2,000 random games. The tolerance
+    1e-12 * (1 + |closed form|) keeps a margin over 100; its 1 covers a
+    closed form of 0 and, below beta of about 1e-31, the square of u's
+    rounding error of about 1e-16 * |theta|."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(3)
+    weights = weights / weights.sum()
+    z, noise = np.meshgrid(nodes, nodes)
+    solver, costs = _playout(p, game, z.ravel(), noise.ravel())
+    expectation = float(np.outer(weights, weights).ravel() @ costs)
+    return OracleReport(f"{game} expected principal cost", solver, expectation, 1e-12 * (1.0 + abs(solver)))
+
+
+def verify_qg(p: QGParams) -> list[OracleReport]:
+    """Quadrature checks of the G1, G2 and G4 closed forms (G4 at
+    sigma_w_sq = 1 when the channel is infinite) and a dense-grid check of
+    the channel optimizer. With s0 = sigma0_sq, a = 2*beta/(3*beta + 2), W
+    the ignorance weight and r(s) = s0*s/(s0 + s) the residual variance at
+    channel noise s, the posterior mean's variance is s0 - r(s), so
+
+        C(s) = a*(z0^2 + s0) + (W - a)*r(s) + (kappa/2)*ln(1 + 1/s).
+
+    The grid holds only the part that depends on s: the constant can dwarf
+    it, and its rounding would make the argmin wander where C is flat. The
+    dense argmin is refined on a 2,001-point log grid between its two
+    neighbours, so the dense step (1.2e-4 decades) limits neither comparison.
+    The argmin is compared on [1e-6, 1e6], a channel outside counting as the
+    nearer end.
+    """
+    g4 = p if math.isfinite(p.sigma_w_sq) else replace(p, sigma_w_sq=1.0)
+    reports = [_quadrature_report(p, "G1"), _quadrature_report(p, "G2"), _quadrature_report(g4, "G4")]
+
+    b, s0, k = p.beta, p.sigma0_sq, p.kappa
+    a = 2.0 * b / (3.0 * b + 2.0)
+    b2 = b * b
+    w = (b2 * b2 + b2 * b + 2.0 * b2 - 4.0 * b + 2.0) / (b2 + 1.0) ** 2
+
+    def varying(s):
+        return (w - a) * s0 * s / (s0 + s) + 0.5 * k * np.log1p(1.0 / s)
+
+    grid = np.logspace(-12.0, 6.0, 150_001)
+    i = int(np.argmin(varying(grid)))
+    fine = np.logspace(math.log10(grid[max(i - 1, 0)]), math.log10(grid[min(i + 1, grid.size - 1)]), 2001)
+    curve = varying(fine)
+    j = int(np.argmin(curve))
+    dense_best = a * (p.z0 * p.z0 + s0) + float(curve[j])
     no_acquisition = qg_g2(p).principal_cost
-    dense_best = float(curve.min())
     opt = qg_g4_optimize(p)
     if math.isfinite(opt.channel) and dense_best < no_acquisition:
-        visible = grid >= 1e-6
-        reports.append(
-            OracleReport(
-                quantity="g4 channel argmin (log10)",
-                solver_value=math.log10(min(max(opt.channel, 1e-6), 1e6)),
-                oracle_value=math.log10(float(grid[visible][np.argmin(curve[visible])])),
-                tolerance=1e-4,
-                seed=seed,
-            )
-        )
+        window = [math.log10(min(max(s, 1e-6), 1e6)) for s in (opt.channel, float(fine[j]))]
+        reports.append(OracleReport("g4 channel argmin (log10)", *window, tolerance=1e-4))
     reports.append(
         OracleReport(
             quantity="g4 optimized total",
             solver_value=opt.principal_cost,
             oracle_value=min(dense_best, no_acquisition),
             tolerance=1e-6,
-            seed=seed,
         )
     )
     return reports

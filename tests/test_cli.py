@@ -368,6 +368,13 @@ def test_argparse_errors_exit_2(capsys):
     assert run("figure", "7") == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "g1"])
+def test_seed_flag_is_gone(capsys, command):
+    """`verify` draws nothing, so no command takes a seed."""
+    assert run(command, "qg_fig4", "--seed", "7") == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
 def test_help_exits_0(capsys):
     assert run("--help") == 0
     assert "incentive-games" in capsys.readouterr().out
