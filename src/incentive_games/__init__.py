@@ -23,9 +23,8 @@ from incentive_games.lp_kernel import (
     LpSolution,
     LpStatus,
     Polytope,
-    enumerate_bounded_vertices,
-    enumerate_vertices,
     lexicographic_argmin,
+    parametric_walk,
     solve_lp,
 )
 from incentive_games.matrix_games import (
@@ -36,7 +35,6 @@ from incentive_games.matrix_games import (
     PersuasionReport,
     SolverError,
     agent_value_curve,
-    collect_xi,
     principal_value_curve,
     solve_g1,
     solve_g2,
@@ -46,6 +44,9 @@ from incentive_games.matrix_games import (
 )
 from incentive_games.oracle import (
     OracleReport,
+    collect_xi,
+    enumerate_bounded_vertices,
+    enumerate_vertices,
     oracle_envelope_by_pairs,
     oracle_g2_by_enumeration,
     oracle_g3_by_obedience,
@@ -94,6 +95,7 @@ __all__ = [
     "oracle_g2_by_enumeration",
     "oracle_g3_by_obedience",
     "oracle_qg_montecarlo",
+    "parametric_walk",
     "principal_value_curve",
     "qg_g1",
     "qg_g2",

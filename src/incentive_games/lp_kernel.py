@@ -1,39 +1,35 @@
-"""Dense linear programming and polytope vertex enumeration.
+"""Dense linear programming on small polytopes in x >= 0.
 
 Everything here is deliberately small-scale: a scheme of an m x n table has
 m * n variables (16 for 4 x 4), so a two-phase tableau simplex with Bland's
 rule (deterministic, cycle-free in exact arithmetic, each pivot one outer
-product) and combinatorial vertex enumeration are both exact enough and fast
-enough. Every variable is a probability, so x >= 0 is the only variable
-domain: each tableau column is a variable of the caller's LP, with no shift,
-mirror or split in between. The two phases are separate routines: phase
-one reads only the constraints and returns a read-only feasible tableau, its
-artificial columns and redundant rows deleted, and phase two minimizes an
-objective from a copy of it, every column a candidate. So a caller that solves
-many objectives over one polytope runs phase one once per polytope; solve_lp
-and lexicographic_argmin are the two phases run back to back. The
-lexicographic minimum goes on from the final tableau of phase two: a
-nonbasic column with positive reduced cost is zero at every optimum, so it
-is dropped, and no pinned LP is solved again.
-Vertex enumeration has one core, enumerate_bounded_vertices: for a sequence
-of bounded, nonempty polytopes of one shape (dim, row count and equality
-rows), such as the response-pair polytopes of one table, it builds the
-rank setup and the candidate bases once, solves the square systems of all
-the polytopes in fixed-size batches, tests them with one feasibility rule
-(Polytope.contains) and deduplicates each polytope's in basis order; a
-polytope's vertices do not depend on the others or on the batch size.
-enumerate_vertices first checks one polytope's boundedness and feasibility
-with one LP, then runs the core on it alone.
-Re-running any routine on the same input is bit-identical.
-Where either one cannot finish (a capped pivot count, a capped number of
-bases) it raises SolverError rather than reporting the input as invalid.
+product) is exact enough and fast enough. Every variable is a probability,
+so x >= 0 is the only variable domain: each tableau column is a variable of
+the caller's LP, with no shift, mirror or split in between. The two phases
+are separate routines: phase one reads only the constraints and returns a
+read-only feasible tableau, its artificial columns and redundant rows
+deleted, and phase two minimizes an objective from a copy of it, every
+column a candidate. So a caller that solves many objectives over one
+polytope runs phase one once per polytope; solve_lp and lexicographic_argmin
+are the two phases run back to back. The lexicographic minimum goes on from
+the final tableau of phase two: a nonbasic column with positive reduced cost
+is zero at every optimum, so it is dropped, and no pinned LP is solved
+again.
+parametric_walk follows the optimum of mu * a + (1 - mu) * b as mu runs
+from 0 to 1, from one feasible tableau (Gass & Saaty 1955): it visits only
+bases that are optimal for some mu, so the optimal vertices of the whole
+family of objectives cost a few pivots, where listing every vertex of the
+polytope would cost a combinatorial number of bases.
+Every pivot of every routine goes through _pivot.
+Re-running any routine on the same input is bit-identical. Where one cannot
+finish (a capped pivot count) it raises SolverError rather than reporting
+the input as invalid.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -41,7 +37,6 @@ from typing import NamedTuple
 import numpy as np
 
 FEAS_TOL = 1e-8          # constraint satisfaction tolerance
-DEDUPE_TOL = 1e-9        # L-inf distance under which two vertices are one
 _PIVOT_TOL = 1e-9        # reduced-cost / pivot element threshold
 # Pivots one simplex phase may take per row plus column of its tableau. The
 # solvers' LPs have finished within 1x wherever measured; Bland's rule rules
@@ -191,6 +186,33 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[rows] -= factors[rows, None] * tableau[row]
 
 
+def _leaving_row(tableau: np.ndarray, basis: np.ndarray, entering: int, m: int) -> int:
+    """The ratio test over the first m rows for column `entering`: the row
+    of the least ratio, near ties within 1e-12 going to the smaller basic
+    index; -1 when no row bounds the column."""
+    col = tableau[:m, entering]
+    rows = (col > _PIVOT_TOL).nonzero()[0]
+    # round-off below 0 is degenerate, not a step back
+    ratios = np.maximum(tableau[rows, -1], 0.0) / col[rows]
+    leave = -1
+    best = np.inf
+    # the rule depends on scan order, so it stays a sequential scan
+    for i, ratio in zip(rows.tolist(), ratios.tolist()):
+        if ratio < best - 1e-12 or (
+            abs(ratio - best) <= 1e-12 and (leave < 0 or basis[i] < basis[leave])
+        ):
+            best = ratio
+            leave = i
+    return leave
+
+
+def _cycling(pivots: int, m: int) -> SolverError:
+    return SolverError(
+        f"simplex phase did not finish within {pivots} pivots "
+        f"on a {m}-row tableau (floating-point cycling)"
+    )
+
+
 def _bland_simplex(tableau: np.ndarray, basis: np.ndarray) -> bool:
     """Phase core: minimize the objective row in-place with Bland's rule.
 
@@ -208,25 +230,9 @@ def _bland_simplex(tableau: np.ndarray, basis: np.ndarray) -> bool:
         if not negative.size:
             return True
         if pivots == max_pivots:
-            raise SolverError(
-                f"simplex phase did not finish within {max_pivots} pivots "
-                f"on a {m}-row tableau (floating-point cycling)"
-            )
+            raise _cycling(max_pivots, m)
         entering = int(negative[0])
-        col = tableau[:m, entering]
-        rows = (col > _PIVOT_TOL).nonzero()[0]
-        # round-off below 0 is degenerate, not a step back
-        ratios = np.maximum(tableau[rows, -1], 0.0) / col[rows]
-        leave = -1
-        best = np.inf
-        # near ties within 1e-12 go to the smaller basic index; the rule
-        # depends on scan order, so it stays a sequential scan
-        for i, ratio in zip(rows.tolist(), ratios.tolist()):
-            if ratio < best - 1e-12 or (
-                abs(ratio - best) <= 1e-12 and (leave < 0 or basis[i] < basis[leave])
-            ):
-                best = ratio
-                leave = i
+        leave = _leaving_row(tableau, basis, entering, m)
         if leave < 0:
             return False
         _pivot(tableau, leave, entering)
@@ -369,157 +375,147 @@ def lexicographic_argmin(lp: LinearProgram) -> LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# vertex enumeration
+# parametric objective
 # ---------------------------------------------------------------------------
 
-_MAX_BASES = 400_000
-# The square systems of the candidate bases are assembled, factored and
-# solved in batches of _BASES_PER_BLOCK // 4, across polytopes: enough that
-# per-batch overhead vanishes, few enough that a batch's (batch, dim, dim)
-# systems and their temporaries stay a few MB (about 5 MB at dim 12).
-_BASES_PER_BLOCK = 8192
-_RESIDUAL_TOL = 1e-9     # a candidate system solved worse than this is singular
+
+def _lex_negative(rows: np.ndarray) -> np.ndarray:
+    """Per column, whether its first entry beyond _PIVOT_TOL, down `rows`,
+    is negative: a lexicographically improving column."""
+    big = np.abs(rows) > _PIVOT_TOL
+    first = big.argmax(axis=0)
+    return big.any(axis=0) & (rows[first, np.arange(rows.shape[1])] < 0.0)
 
 
-def _bounded_and_feasible(p: Polytope) -> bool:
-    """False for an empty polytope; ValueError for an unbounded one.
+class Walk(NamedTuple):
+    """A parametric walk over 0 = beliefs[0] < beliefs[1] < ... <
+    beliefs[-1] = 1: at[k] is the optimal point at mu = beliefs[k] exactly,
+    between[k] the one at every mu strictly between beliefs[k] and
+    beliefs[k + 1]. `refined` tells whether a level after the first ever
+    decided an optimum; when none did, the walk of the first level alone
+    has the same points."""
 
-    One LP maximizes the sum of the coordinates. Every x_t is >= 0, so a
-    finite maximum bounds each x_t; conversely an unbounded x_t makes the LP
-    unbounded. Its phase one decides feasibility.
-    """
-    sol = solve_lp(p.lp(-np.ones(p.dim)))
-    if sol.status is LpStatus.UNBOUNDED:
-        raise ValueError("polytope is unbounded")
-    return sol.status is LpStatus.OPTIMAL
-
-
-def enumerate_vertices(p: Polytope) -> list[np.ndarray]:
-    """All basic feasible solutions of a bounded polytope, deduplicated, in
-    basis order (see enumerate_bounded_vertices). One LP first decides that
-    `p` is bounded (ValueError if not) and nonempty ([] if empty)."""
-    if not _bounded_and_feasible(p):
-        return []
-    return enumerate_bounded_vertices([p])[0]
+    beliefs: tuple[float, ...]
+    at: tuple[np.ndarray, ...]
+    between: tuple[np.ndarray, ...]
+    refined: bool
 
 
-def enumeration_setup(p: Polytope) -> tuple[np.ndarray, np.ndarray]:
-    """The equality rows that every candidate basis of `p` makes tight (a
-    maximal independent subset, in row order) and their rhs. Raises
-    SolverError when `p` has more than _MAX_BASES candidate bases, before any
-    is built."""
-    keep: list[int] = []
-    for r in range(p.equality_matrix.shape[0]):
-        if np.linalg.matrix_rank(p.equality_matrix[keep + [r]]) > len(keep):
-            keep.append(r)
-    n_bases = math.comb(p.constraint_matrix.shape[0] + p.dim, p.dim - len(keep))
-    if n_bases > _MAX_BASES:
-        raise SolverError(
-            f"vertex enumeration would examine {n_bases} bases (limit {_MAX_BASES}); "
-            "polytope too large for combinatorial enumeration"
-        )
-    return p.equality_matrix[keep], p.equality_rhs[keep]
+def parametric_walk(start: Tableau, levels) -> Walk | None:
+    """The optimal points of a bounded region as mu runs from 0 to 1, for a
+    lexicographic objective that moves with mu: mu * a + (1 - mu) * b for
+    the first (a, b) of `levels`, its ties broken by the next level, and so
+    on, the last ties by x_0, then x_1, ... (the lex-min rule). It is the
+    parametric-objective simplex of Gass & Saaty (1955), started from the
+    feasible tableau `start` (its objective row is not read), and it visits
+    only bases that are optimal somewhere in [0, 1]. A column that is zero
+    in every constraint row is held at zero. Returns None when a column
+    improves without bound (as phase_two reports an unbounded LP).
 
+    The tableau carries each level's reduced costs r_a and r_b, so that its
+    reduced cost at mu is r(mu) = mu * r_a + (1 - mu) * r_b, and the rows of
+    x_0, x_1, ... priced out; every pivot updates them all. A column improves
+    when the first entry of its key beyond _PIVOT_TOL is negative, and the
+    smallest such column enters (Bland's rule). Two keys are minimized in
+    turn at each mu:
+    - at mu: r(mu) of each level, then the x_t rows. The optimum is at[k];
+      at 0 this is phase two and then the lex-min.
+    - just above mu: each level's r(mu) followed by its slope r_a - r_b, so
+      a tie at mu goes to the column falling fastest; at 0 this breaks the
+      ties of b toward a. The optimum is between[k], and it stays
+      optimal up to the least crossing r_b / (r_b - r_a) of a column whose
+      key starts with some r(mu) > 0 of slope below -_PIVOT_TOL. mu moves
+      there, or to 1.
+    A crossing within _PIVOT_TOL above mu counts as r(mu) = 0, so no
+    interval is shorter than that. Bland's rule cannot cycle in exact arithmetic; with
+    tolerances it can, among bases whose keys differ by round-off, so a
+    minimization ends when it meets a basis a second time, and a walk that
+    takes more than _PIVOTS_PER_LINE pivots per tableau line raises
+    SolverError."""
+    m = start.basis.size
+    d = levels[0][0].shape[0]
+    n_cols = start.array.shape[1] - 1
+    n_levels = len(levels)
+    lines = 2 * n_levels
+    # rows: constraints, then r_a and r_b of each level, then x_0, x_1, ...
+    tab = np.zeros((m + lines + d, n_cols + 1))
+    tab[:m] = start.array[:m]
+    basis = start.basis.copy()
+    for k, (a, b) in enumerate(levels):
+        tab[m + 2 * k, :d] = a
+        tab[m + 2 * k + 1, :d] = b
+    tab[m + lines :, :d] = np.eye(d)
+    tab[m:, :-1][:, ~tab[:m, :-1].any(axis=0)] = 0.0         # held at zero
+    tab[m:] -= tab[m:, basis] @ tab[:m]                       # priced out
+    # views: every pivot updates them in place
+    ra, rb, coords = tab[m : m + lines : 2, :-1], tab[m + 1 : m + lines : 2, :-1], tab[m + lines :, :-1]
+    at_keys = np.empty((n_levels + d, n_cols))
+    above_keys = np.empty((lines + d, n_cols))
 
-def _candidate_index(G: np.ndarray, E: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Every choice of dim - len(E) rows of the inequality rows G (stacked
-    per polytope, the x_t >= 0 rows last), in lexicographic order, as an
-    index array; minus two kinds of choice that give no vertex:
-    - one with a row that is zero in every polytope: the system is singular,
-      its LU keeps that row zero, and det is exactly 0;
-    - one whose x_t >= 0 rows zero the whole support of an equality row with
-      |rhs| > 2 * _RESIDUAL_TOL * (1 + sum of |coefficients|): the system
-      forces |x_t| <= _RESIDUAL_TOL there, so the computed residual on the
-      equality row exceeds _RESIDUAL_TOL.
-    """
-    n_rows, d = G.shape[1:]
-    k = d - E.shape[0]
-    n_bases = math.comb(n_rows, k)
-    combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n_rows), k)),
-                         dtype=np.min_scalar_type(n_rows), count=n_bases * k).reshape(n_bases, k)
-    excluded = [(np.flatnonzero(~np.any(G, axis=(0, 2))), 1)]     # rows zero in every polytope
-    for row, rhs in zip(E, f):
-        if abs(rhs) > 2 * _RESIDUAL_TOL * (1 + np.sum(np.abs(row))):
-            support = np.flatnonzero(row)
-            excluded.append((n_rows - d + support, support.size))
-    chosen = np.zeros(n_rows, dtype=bool)
-    for rows, needed in excluded:
-        chosen[:] = False
-        chosen[rows] = True
-        combos = combos[np.count_nonzero(chosen[combos], axis=1) < needed]
-    return combos
+    def keys(mu: float, above: bool) -> tuple[np.ndarray, np.ndarray]:
+        # Round-off below _PIVOT_TOL is taken as zero, and so it is made an
+        # exact zero: a pivot would scale it past the tolerance, and the
+        # column that leaves could then look improving and cycle back.
+        keyed = tab[m:, :-1]
+        keyed[np.abs(keyed) <= _PIVOT_TOL] = 0.0
+        slope = ra - rb
+        r = mu * ra + (1.0 - mu) * rb
+        r[(r > 0.0) & (r + _PIVOT_TOL * slope <= 0.0)] = 0.0    # crossing within _PIVOT_TOL
+        if above:
+            above_keys[:lines:2] = r
+            above_keys[1:lines:2] = slope
+            above_keys[lines:] = coords
+            return above_keys, slope
+        at_keys[:n_levels] = r
+        at_keys[n_levels:] = coords
+        return at_keys, slope
 
+    def point() -> np.ndarray:
+        y = np.zeros(n_cols)
+        y[basis] = tab[:m, -1]
+        return y[:d] + 0.0          # no -0.0 in a reported point
 
-def enumerate_bounded_vertices(polytopes: Iterable[Polytope]) -> list[list[np.ndarray]]:
-    """The vertices of each of a sequence of bounded, nonempty polytopes that
-    share dim, the number of constraint rows and the equality rows (say the
-    response-pair polytopes of one table): per polytope, its basic feasible
-    solutions, deduplicated, in basis order.
+    def decided_by_a_later_level(rows: np.ndarray, head: int, level_rows: int) -> bool:
+        big = np.abs(rows[:level_rows]) > _PIVOT_TOL
+        first = np.where(big.any(axis=0), big.argmax(axis=0), level_rows)
+        return bool(np.any((first >= head) & (first < level_rows)))
 
-    Combinatorial active-set enumeration: every choice of dim - rank(eq)
-    inequalities (the constraint rows, then -x_t <= 0 for each t in order),
-    made tight together with a maximal independent subset of the equality
-    rows (taken in row order), is solved as a square system and kept if it
-    satisfies every row of its polytope (Polytope.contains). The rank setup
-    and the candidate index array are built once for all the polytopes; the
-    systems, polytope by polytope and each polytope's bases in lexicographic
-    order, go through in batches of a quarter of _BASES_PER_BLOCK, each step
-    one batched array operation whose per-system result does not depend on
-    the batch. A candidate is a new vertex of its polytope when its L-inf
-    distance to every vertex kept before it exceeds DEDUPE_TOL. More than
-    _MAX_BASES candidate bases per polytope raise SolverError before any is
-    built. Feasibility and boundedness are the caller's to establish.
-    """
-    polytopes = list(polytopes)
-    if not polytopes:
-        return []
-    p0 = polytopes[0]
-    d, n_ineq = p0.dim, p0.constraint_matrix.shape[0]
-    for p in polytopes:
-        if (p.dim != d or p.constraint_matrix.shape[0] != n_ineq
-                or not np.array_equal(p.equality_matrix, p0.equality_matrix)
-                or not np.array_equal(p.equality_rhs, p0.equality_rhs)):
-            raise ValueError("batched polytopes must share dim, row count and equality rows")
-    E, f = enumeration_setup(p0)
-    n_eq = E.shape[0]
-    G = np.stack([np.vstack([p.constraint_matrix, -np.eye(d)]) for p in polytopes])   # x >= 0 as -x <= 0
-    h = np.stack([np.concatenate([p.rhs, np.zeros(d)]) for p in polytopes])
-    combos = _candidate_index(G, E, f)
-    # max |entry| of a system is the max over its rows' maxima: max is exact
-    row_max = np.max(np.abs(G), axis=2)
-    eq_max = float(np.max(np.abs(E))) if n_eq else 0.0
-    unique: list[list[np.ndarray]] = [[] for _ in polytopes]
-    n_cand = combos.shape[0]
-    batch = max(1, _BASES_PER_BLOCK // 4)
-    for start in range(0, len(polytopes) * n_cand, batch):
-        owner, c = np.divmod(np.arange(start, min(start + batch, len(polytopes) * n_cand)), n_cand)
-        rows = combos[c]
-        mats = np.empty((c.size, d, d))
-        rhss = np.empty((c.size, d))
-        mats[:, :n_eq] = E
-        rhss[:, :n_eq] = f
-        mats[:, n_eq:] = G[owner[:, None], rows]
-        rhss[:, n_eq:] = h[owner[:, None], rows]
-        scale = np.max(row_max[owner[:, None], rows], axis=1, initial=eq_max)
-        with np.errstate(all="ignore"):
-            dets = np.linalg.det(mats)
-        ok = np.abs(dets) > 1e-12 * np.maximum(1.0, scale ** d)
-        mats, rhss, owner = mats[ok], rhss[ok], owner[ok]
-        xs = np.linalg.solve(mats, rhss[..., None])[..., 0]
-        resid = np.max(np.abs(np.einsum("bij,bj->bi", mats, xs) - rhss), axis=1)
-        # x >= -FEAS_TOL is also a test of contains: checked here for the
-        # whole batch, it leaves contains fewer points per polytope
-        good = ~(resid > _RESIDUAL_TOL) & np.all(np.isfinite(xs) & (xs >= -FEAS_TOL), axis=1)
-        xs, owner = xs[good], owner[good]
-        for q in owner[np.flatnonzero(np.diff(owner, prepend=-1))]:   # owner is sorted
-            pts = xs[owner == q]
-            pts = pts[polytopes[q].contains(pts)]
-            # Greedy dedupe in basis order, one pass per kept vertex: the
-            # earliest remaining candidate is always kept, and drops every
-            # later one near it.
-            for u in unique[q]:
-                pts = pts[np.abs(pts - u).max(axis=1) > DEDUPE_TOL]
-            while len(pts):
-                unique[q].append(pts[0].copy())
-                pts = pts[np.abs(pts - pts[0]).max(axis=1) > DEDUPE_TOL]
-    return unique
+    beliefs, at, between = [], [], []
+    refined = False
+    mu, above = 0.0, False
+    max_pivots = _PIVOTS_PER_LINE * sum(tab.shape)
+    pivots = 0
+    seen: set[bytes] = set()      # bases of this minimization
+    while True:
+        rows, slope = keys(mu, above)
+        improving = _lex_negative(rows).nonzero()[0]
+        here = basis.tobytes()
+        if improving.size and here not in seen:
+            seen.add(here)
+            if pivots == max_pivots:
+                raise _cycling(max_pivots, m)
+            entering = int(improving[0])
+            leave = _leaving_row(tab, basis, entering, m)
+            if leave < 0:
+                return None
+            _pivot(tab, leave, entering)
+            basis[leave] = entering
+            pivots += 1
+        elif not above:
+            beliefs.append(mu)
+            at.append(point())
+            refined = refined or decided_by_a_later_level(rows, 1, n_levels)
+            if mu >= 1.0:
+                return Walk(tuple(beliefs), tuple(at), tuple(between), refined)
+            above, seen = True, set()
+        else:
+            between.append(point())
+            refined = refined or decided_by_a_later_level(rows, 2, lines)
+            big = np.abs(rows) > _PIVOT_TOL
+            first = big.argmax(axis=0)
+            cols = np.arange(n_cols)
+            level = np.minimum(first // 2, n_levels - 1)
+            ending = (big.any(axis=0) & (first < lines) & (first % 2 == 0) & (rows[first, cols] > 0.0)
+                      & (slope[level, cols] < -_PIVOT_TOL))
+            cross = -rb[level[ending], cols[ending]] / slope[level[ending], cols[ending]]
+            mu, above, seen = min(float(np.min(cross, initial=np.inf)), 1.0), False, set()

@@ -25,10 +25,14 @@ changes. The simplex's phase one of each response pair's LP reads only the
 pair's constraints, so it runs once per polytope (_pair_phase_ones); g2 at
 any belief runs only phase two from a copy of each feasible pair's tableau,
 and its lex-min goes on from the winning pair's phase-two tableau. The
-vertex profiles (_pair_profiles) read which pairs are empty from the same
-phase ones and enumerate the vertices of all the nonempty pair polytopes in
-one batched pass, with no LP of their own. g3 at an interior prior reads
-only the cached vertex profiles: once they are built it solves no LP.
+vertex profiles (_pair_profiles) hold, per nonempty pair, only the vertices
+that a tie rule picks at some belief. Two parametric walks of the belief
+from 0 to 1 (lp_kernel.parametric_walk) find them from the same phase ones:
+one breaks the principal's ties by the lex-min rule, as g2 does, and one by
+the agent's least cost first, as g3 does. No vertex is enumerated, so the
+size of a table limits nothing but time. value_curves, g3 and g4 read only
+these profiles: once they are built, g3 at an interior prior takes no
+pivot.
 """
 
 from __future__ import annotations
@@ -48,9 +52,8 @@ from incentive_games.lp_kernel import (
     Polytope,
     SolverError,
     Tableau,
-    enumerate_bounded_vertices,
-    enumeration_setup,
     lexicographic_descent,
+    parametric_walk,
     phase_one,
     phase_two,
 )
@@ -273,6 +276,15 @@ def _to_matrix(x: np.ndarray, m: int, n: int) -> np.ndarray:
     return gamma / sums
 
 
+def _state_cost(mats: tuple[np.ndarray, np.ndarray], k: int, rec: int) -> np.ndarray:
+    """State k's cost under `mats` (cp or ca) of a stacked-columns scheme
+    to which the agent responds with `rec` in state k."""
+    m, n = mats[k].shape
+    c = np.zeros(m * n)
+    c[rec * m : (rec + 1) * m] = mats[k][:, rec]
+    return c
+
+
 def _scheme_key(x: np.ndarray) -> tuple:
     return tuple(np.round(np.asarray(x).reshape(-1), 9) + 0.0)
 
@@ -308,9 +320,7 @@ def solve_g1(table: CostTable, prior) -> EquilibriumReport:
         objectives, starts = [], []
         for j in range(n):
             rows = _best_response_rows(table, k, j)
-            c = np.zeros(m * n)
-            c[j * m : (j + 1) * m] = table.cp[k][:, j]
-            objectives.append(c)
+            objectives.append(_state_cost(table.cp, k, j))
             starts.append(phase_one(Polytope(m * n, rows, np.zeros(rows.shape[0]), eq, eqr)))
         j, x = _first_optimal_lexmin(objectives, starts, f"agent response in state {k}")
         gamma = _to_matrix(x, m, n)
@@ -392,27 +402,48 @@ class _PairProfile:
     agent: np.ndarray                     # (n_vertices, 2)
 
 
+def _tie_rule_vertices(start: Tableau, cost, agent) -> list[np.ndarray]:
+    """The vertices of one pair polytope that the tie rules can pick at some
+    belief, from parametric walks of mu from 0 to 1 (`cost` and `agent` hold
+    the pair's state-one and state-two objectives). The principal's cost,
+    ties to the agent's least cost and then to the lex-min vertex, gives
+    g3's recommended scheme; the principal's cost, ties to the lex-min
+    vertex, gives solve_g2's scheme at every belief. The second walk has
+    the first one's points unless the agent's cost broke a tie there."""
+    points = []
+    for levels in ((cost, agent), (cost,)):
+        walk = parametric_walk(start, levels)
+        if walk is None:        # round-off made a bounded column unbounded
+            return []
+        points += [*walk.at, *walk.between]
+        if not walk.refined:
+            break
+    return points
+
+
 @lru_cache(maxsize=128)
 def _pair_profiles(table: CostTable) -> tuple[_PairProfile, ...]:
-    """The vertices of every nonempty response-pair polytope, each pair's
-    sorted by _scheme_key, with their per-state costs. The pair polytopes
-    share their shape, so a table too large to enumerate fails first, before
-    any phase one. Which pairs are empty is read from _pair_phase_ones; every
-    pair polytope is bounded (each variable lies in a column-sum row with
-    x >= 0), so the nonempty ones go through enumerate_bounded_vertices
-    together and no LP is solved here."""
+    """Per nonempty response pair, the vertices that a tie rule picks at
+    some belief (_tie_rule_vertices), with their per-state costs; each
+    pair's are sorted lexicographically by the stacked-columns point
+    rounded to 9 decimals, equal ones kept once, so the first optimal one
+    is the lex-min. Each walk starts from the pair's cached phase one
+    (_pair_phase_ones), so no phase one runs here."""
     m, n = table.m, table.n
-    enumeration_setup(_pair_polytope(table, 0, 0))
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    pairs = [pair for pair, start in zip(pairs, _pair_phase_ones(table)) if start is not None]
-    vertices = enumerate_bounded_vertices([_pair_polytope(table, i, j) for i, j in pairs])
     profiles = []
-    for (i, j), verts in zip(pairs, vertices):
-        if not verts:
+    for (i, j), start in zip([(i, j) for i in range(n) for j in range(n)], _pair_phase_ones(table)):
+        if start is None:
             continue
-        verts = np.array(verts)
-        keys = np.round(verts, 9) + 0.0         # _scheme_key of each vertex
-        mats = _to_matrix(verts[np.lexsort(keys.T[::-1])], m, n)
+        cost, agent = ((_state_cost(c, 0, i), _state_cost(c, 1, j)) for c in (table.cp, table.ca))
+        verts = np.array(_tie_rule_vertices(start, cost, agent)).reshape(-1, m * n)
+        # a walk from a phase one that lost feasibility on a tiny pivot can
+        # reach a point whose columns are no distribution: it is no scheme
+        verts = verts[np.all(verts.reshape(-1, n, m).sum(axis=2) >= 0.5, axis=1)]
+        if not len(verts):
+            continue
+        # np.unique keeps each rounded point once, sorted lexicographically
+        _, first = np.unique(np.round(verts, 9) + 0.0, axis=0, return_index=True)
+        mats = _to_matrix(verts[first], m, n)
         # per vertex, state one's cost at response i and state two's at j:
         # (1, m) @ (m, 1) products, the dot products of a scheme's columns
         p, a = (np.concatenate([mats[:, None, :, i] @ c[0][:, i, None],
@@ -471,28 +502,6 @@ def agent_value_curve(table: CostTable, grid_size: int) -> tuple[np.ndarray, np.
 
 
 # ---------------------------------------------------------------------------
-# candidate-scheme collection (persuasion action set)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class XiCollection:
-    """Vertices of every response-pair polytope, grouped by pair (a pair
-    whose polytope is empty maps to ())."""
-
-    groups: dict[tuple[int, int], tuple[np.ndarray, ...]]
-
-
-def collect_xi(table: CostTable) -> XiCollection:
-    """The cached pair-profile vertices as schemes, each group sorted by
-    _scheme_key of the scheme matrix."""
-    groups = {(i, j): () for i in range(table.n) for j in range(table.n)}
-    for prof in _pair_profiles(table):
-        groups[prof.group] = tuple(sorted(prof.schemes, key=_scheme_key))
-    return XiCollection(groups=groups)
-
-
-# ---------------------------------------------------------------------------
 # g3: agent-driven persuasion
 # ---------------------------------------------------------------------------
 
@@ -538,9 +547,10 @@ def solve_g3(table: CostTable, prior) -> PersuasionReport:
     - A split whose agent and principal costs equal ja*(mu) and jp2(mu)
       within 1e-9 buys nothing; the report is the single atom at mu.
     - Each atom recommends the first vertex, in _pair_profiles order, that
-      is principal-optimal there and has the least agent cost.
+      is principal-optimal there and whose agent cost is within
+      _OPTIMAL_TOL of the least.
     - At mu = 0 or 1 no split is possible and g3 is g2: the report is
-      solve_g2's scheme. Elsewhere g3 solves no LP beyond building the
+      solve_g2's scheme. Elsewhere g3 takes no pivot beyond building the
       cached profiles.
     """
     mu = as_probability(prior)
@@ -569,7 +579,7 @@ def solve_g3(table: CostTable, prior) -> PersuasionReport:
     owner = [(prof.group, s) for prof in profiles for s in prof.schemes]
     entries = []
     for (p, w), t in zip(atoms, idx):
-        (i, j), gamma = owner[int(np.argmin(agent[t]))]
+        (i, j), gamma = owner[int(np.argmax(agent[t] <= ja[t] + _OPTIMAL_TOL))]
         obeyed = p * gamma[:, i] @ table.cp[0][:, i] + (1.0 - p) * gamma[:, j] @ table.cp[1][:, j]
         if obeyed > jp2[t] + BEST_RESPONSE_TOL:
             raise SolverError("recommended scheme is not principal-optimal at its posterior")

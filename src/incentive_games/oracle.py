@@ -4,9 +4,23 @@ Each oracle recomputes a quantity by a deliberately different route — explicit
 vertex enumeration and evaluation instead of simplex optimization, exhaustive
 pair bracketing instead of the hull walk, the obedience LP instead of the
 g3 hull, playouts of the committed policy instead of closed forms — so
-agreement is evidence, not tautology. They share only the raw vertex
-enumerator and the simplex kernel with the solvers, never the g2 or g3
-decision logic.
+agreement is evidence, not tautology. The vertex enumerator lives here, and
+no solver calls it: the oracles share only the simplex kernel with the
+solvers, never the g2 or g3 decision logic. So the enumerator's capacity
+(_MAX_BASES) limits `verify` and the oracles alone; a 4x4 or 3x5 table has
+more bases than that, and its solvers still answer.
+
+Vertex enumeration has one core, enumerate_bounded_vertices: for a sequence
+of bounded, nonempty polytopes of one shape (dim, row count and equality
+rows), such as the response-pair polytopes of one table, it builds the rank
+setup and the candidate bases once, solves the square systems of all the
+polytopes in fixed-size batches, tests them with one feasibility rule
+(Polytope.contains) and deduplicates each polytope's in basis order; a
+polytope's vertices do not depend on the others or on the batch size.
+enumerate_vertices first checks one polytope's boundedness and feasibility
+with one LP, then runs the core on it alone. Where the enumerator cannot
+finish (more than _MAX_BASES bases) it raises SolverError, before any basis
+is built.
 
 `verify_qg` takes the playouts' expectation by Gauss–Hermite quadrature, so
 it draws nothing and needs no seed. `oracle_qg_montecarlo` averages the same
@@ -22,7 +36,9 @@ same bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,14 +49,18 @@ from incentive_games.belief_engine import (
     tilde_entropy,
 )
 from incentive_games.lp_kernel import (
+    FEAS_TOL,
     LinearProgram,
+    LpStatus,
     Polytope,
     SolverError,
-    enumerate_vertices,
+    phase_one,
     solve_lp,
 )
 from incentive_games.matrix_games import (
     CostTable,
+    _scheme_key,
+    _to_matrix,
     solve_g2,
     solve_g3,
     solve_g4,
@@ -76,6 +96,213 @@ class OracleReport:
 
 
 # ---------------------------------------------------------------------------
+# vertex enumeration
+# ---------------------------------------------------------------------------
+
+DEDUPE_TOL = 1e-9        # L-inf distance under which two vertices are one
+_MAX_BASES = 400_000
+# The square systems of the candidate bases are assembled, factored and
+# solved in batches of _BASES_PER_BLOCK // 4, across polytopes: enough that
+# per-batch overhead vanishes, few enough that a batch's (batch, dim, dim)
+# systems and their temporaries stay a few MB (about 5 MB at dim 12).
+_BASES_PER_BLOCK = 8192
+_RESIDUAL_TOL = 1e-9     # a candidate system solved worse than this is singular
+
+
+def _bounded_and_feasible(p: Polytope) -> bool:
+    """False for an empty polytope; ValueError for an unbounded one.
+
+    One LP maximizes the sum of the coordinates. Every x_t is >= 0, so a
+    finite maximum bounds each x_t; conversely an unbounded x_t makes the LP
+    unbounded. Its phase one decides feasibility.
+    """
+    sol = solve_lp(p.lp(-np.ones(p.dim)))
+    if sol.status is LpStatus.UNBOUNDED:
+        raise ValueError("polytope is unbounded")
+    return sol.status is LpStatus.OPTIMAL
+
+
+def enumerate_vertices(p: Polytope) -> list[np.ndarray]:
+    """All basic feasible solutions of a bounded polytope, deduplicated, in
+    basis order (see enumerate_bounded_vertices). One LP first decides that
+    `p` is bounded (ValueError if not) and nonempty ([] if empty)."""
+    if not _bounded_and_feasible(p):
+        return []
+    return enumerate_bounded_vertices([p])[0]
+
+
+def enumeration_setup(p: Polytope) -> tuple[np.ndarray, np.ndarray]:
+    """The equality rows that every candidate basis of `p` makes tight (a
+    maximal independent subset, in row order) and their rhs. Raises
+    SolverError when `p` has more than _MAX_BASES candidate bases, before any
+    is built."""
+    keep: list[int] = []
+    for r in range(p.equality_matrix.shape[0]):
+        if np.linalg.matrix_rank(p.equality_matrix[keep + [r]]) > len(keep):
+            keep.append(r)
+    n_bases = math.comb(p.constraint_matrix.shape[0] + p.dim, p.dim - len(keep))
+    if n_bases > _MAX_BASES:
+        raise SolverError(
+            f"the vertex-enumeration oracle would examine {n_bases} bases (limit {_MAX_BASES}); "
+            "polytope too large for combinatorial enumeration"
+        )
+    return p.equality_matrix[keep], p.equality_rhs[keep]
+
+
+def _candidate_index(G: np.ndarray, E: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Every choice of dim - len(E) rows of the inequality rows G (stacked
+    per polytope, the x_t >= 0 rows last), in lexicographic order, as an
+    index array; minus two kinds of choice that give no vertex:
+    - one with a row that is zero in every polytope: the system is singular,
+      its LU keeps that row zero, and det is exactly 0;
+    - one whose x_t >= 0 rows zero the whole support of an equality row with
+      |rhs| > 2 * _RESIDUAL_TOL * (1 + sum of |coefficients|): the system
+      forces |x_t| <= _RESIDUAL_TOL there, so the computed residual on the
+      equality row exceeds _RESIDUAL_TOL.
+    """
+    n_rows, d = G.shape[1:]
+    k = d - E.shape[0]
+    n_bases = math.comb(n_rows, k)
+    combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n_rows), k)),
+                         dtype=np.min_scalar_type(n_rows), count=n_bases * k).reshape(n_bases, k)
+    excluded = [(np.flatnonzero(~np.any(G, axis=(0, 2))), 1)]     # rows zero in every polytope
+    for row, rhs in zip(E, f):
+        if abs(rhs) > 2 * _RESIDUAL_TOL * (1 + np.sum(np.abs(row))):
+            support = np.flatnonzero(row)
+            excluded.append((n_rows - d + support, support.size))
+    chosen = np.zeros(n_rows, dtype=bool)
+    for rows, needed in excluded:
+        chosen[:] = False
+        chosen[rows] = True
+        combos = combos[np.count_nonzero(chosen[combos], axis=1) < needed]
+    return combos
+
+
+def enumerate_bounded_vertices(polytopes: Iterable[Polytope]) -> list[list[np.ndarray]]:
+    """The vertices of each of a sequence of bounded, nonempty polytopes that
+    share dim, the number of constraint rows and the equality rows (say the
+    response-pair polytopes of one table): per polytope, its basic feasible
+    solutions, deduplicated, in basis order.
+
+    Combinatorial active-set enumeration: every choice of dim - rank(eq)
+    inequalities (the constraint rows, then -x_t <= 0 for each t in order),
+    made tight together with a maximal independent subset of the equality
+    rows (taken in row order), is solved as a square system and kept if it
+    satisfies every row of its polytope (Polytope.contains). The rank setup
+    and the candidate index array are built once for all the polytopes; the
+    systems, polytope by polytope and each polytope's bases in lexicographic
+    order, go through in batches of a quarter of _BASES_PER_BLOCK, each step
+    one batched array operation whose per-system result does not depend on
+    the batch. A candidate is a new vertex of its polytope when its L-inf
+    distance to every vertex kept before it exceeds DEDUPE_TOL. More than
+    _MAX_BASES candidate bases per polytope raise SolverError before any is
+    built. Feasibility and boundedness are the caller's to establish.
+    """
+    polytopes = list(polytopes)
+    if not polytopes:
+        return []
+    p0 = polytopes[0]
+    d, n_ineq = p0.dim, p0.constraint_matrix.shape[0]
+    for p in polytopes:
+        if (p.dim != d or p.constraint_matrix.shape[0] != n_ineq
+                or not np.array_equal(p.equality_matrix, p0.equality_matrix)
+                or not np.array_equal(p.equality_rhs, p0.equality_rhs)):
+            raise ValueError("batched polytopes must share dim, row count and equality rows")
+    E, f = enumeration_setup(p0)
+    n_eq = E.shape[0]
+    G = np.stack([np.vstack([p.constraint_matrix, -np.eye(d)]) for p in polytopes])   # x >= 0 as -x <= 0
+    h = np.stack([np.concatenate([p.rhs, np.zeros(d)]) for p in polytopes])
+    combos = _candidate_index(G, E, f)
+    # max |entry| of a system is the max over its rows' maxima: max is exact
+    row_max = np.max(np.abs(G), axis=2)
+    eq_max = float(np.max(np.abs(E))) if n_eq else 0.0
+    unique: list[list[np.ndarray]] = [[] for _ in polytopes]
+    n_cand = combos.shape[0]
+    batch = max(1, _BASES_PER_BLOCK // 4)
+    for start in range(0, len(polytopes) * n_cand, batch):
+        owner, c = np.divmod(np.arange(start, min(start + batch, len(polytopes) * n_cand)), n_cand)
+        rows = combos[c]
+        mats = np.empty((c.size, d, d))
+        rhss = np.empty((c.size, d))
+        mats[:, :n_eq] = E
+        rhss[:, :n_eq] = f
+        mats[:, n_eq:] = G[owner[:, None], rows]
+        rhss[:, n_eq:] = h[owner[:, None], rows]
+        scale = np.max(row_max[owner[:, None], rows], axis=1, initial=eq_max)
+        with np.errstate(all="ignore"):
+            dets = np.linalg.det(mats)
+        ok = np.abs(dets) > 1e-12 * np.maximum(1.0, scale ** d)
+        mats, rhss, owner = mats[ok], rhss[ok], owner[ok]
+        xs = np.linalg.solve(mats, rhss[..., None])[..., 0]
+        resid = np.max(np.abs(np.einsum("bij,bj->bi", mats, xs) - rhss), axis=1)
+        # x >= -FEAS_TOL is also a test of contains: checked here for the
+        # whole batch, it leaves contains fewer points per polytope
+        good = ~(resid > _RESIDUAL_TOL) & np.all(np.isfinite(xs) & (xs >= -FEAS_TOL), axis=1)
+        xs, owner = xs[good], owner[good]
+        for q in owner[np.flatnonzero(np.diff(owner, prepend=-1))]:   # owner is sorted
+            pts = xs[owner == q]
+            pts = pts[polytopes[q].contains(pts)]
+            # Greedy dedupe in basis order, one pass per kept vertex: the
+            # earliest remaining candidate is always kept, and drops every
+            # later one near it.
+            for u in unique[q]:
+                pts = pts[np.abs(pts - u).max(axis=1) > DEDUPE_TOL]
+            while len(pts):
+                unique[q].append(pts[0].copy())
+                pts = pts[np.abs(pts - pts[0]).max(axis=1) > DEDUPE_TOL]
+    return unique
+
+
+@dataclass(frozen=True)
+class XiCollection:
+    """Vertices of every response-pair polytope, grouped by pair (a pair
+    whose polytope is empty maps to ())."""
+
+    groups: dict[tuple[int, int], tuple[np.ndarray, ...]]
+
+
+def _pair_polytopes(table: CostTable) -> dict[tuple[int, int], Polytope]:
+    """Every response-pair polytope of `table`, in pair order, assembled
+    here rather than taken from the solver."""
+    m, n = table.m, table.n
+    eye = np.eye(n)
+    simplex_rows = np.kron(eye, np.ones(m))
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            rows = []
+            for state, rec in ((0, i), (1, j)):
+                ca = table.ca[state]
+                for alt in range(n):
+                    if alt != rec:
+                        rows.append(np.kron(eye[rec], ca[:, rec]) - np.kron(eye[alt], ca[:, alt]))
+            out[i, j] = Polytope(
+                dim=m * n,
+                constraint_matrix=np.array(rows),
+                rhs=np.zeros(len(rows)),
+                equality_matrix=simplex_rows,
+                equality_rhs=np.ones(n),
+            )
+    return out
+
+
+def collect_xi(table: CostTable) -> XiCollection:
+    """Every vertex of every response-pair polytope as a scheme, each group
+    sorted by _scheme_key. The pair polytopes share their shape, so a table
+    too large to enumerate fails first, before any LP or basis. One phase
+    one per pair then tells the empty ones; every pair polytope is bounded
+    (each variable lies in a column-sum row with x >= 0), so the nonempty
+    ones go through enumerate_bounded_vertices together."""
+    polytopes = _pair_polytopes(table)
+    enumeration_setup(polytopes[0, 0])
+    nonempty = [pair for pair, p in polytopes.items() if phase_one(p) is not None]
+    groups = {pair: () for pair in polytopes}
+    for pair, verts in zip(nonempty, enumerate_bounded_vertices([polytopes[pair] for pair in nonempty])):
+        groups[pair] = tuple(sorted((_to_matrix(v, table.m, table.n) for v in verts), key=_scheme_key))
+    return XiCollection(groups=groups)
+
+
+# ---------------------------------------------------------------------------
 # matrix-game oracles
 # ---------------------------------------------------------------------------
 
@@ -97,25 +324,8 @@ def _oracle_vertices(table: CostTable) -> list[tuple[int, int, np.ndarray]]:
     """(i, j, scheme) for every vertex of every response-pair polytope,
     built and enumerated here rather than read from the solver's cache."""
     m, n = table.m, table.n
-    eye = np.eye(n)
-    simplex_rows = np.kron(eye, np.ones(m))
-    out = []
-    for i in range(n):
-        for j in range(n):
-            rows = []
-            for state, rec in ((0, i), (1, j)):
-                ca = table.ca[state]
-                for alt in range(n):
-                    if alt != rec:
-                        rows.append(np.kron(eye[rec], ca[:, rec]) - np.kron(eye[alt], ca[:, alt]))
-            poly = Polytope(
-                dim=m * n,
-                constraint_matrix=np.array(rows),
-                rhs=np.zeros(len(rows)),
-                equality_matrix=simplex_rows,
-                equality_rhs=np.ones(n),
-            )
-            out.extend((i, j, x.reshape(n, m).T) for x in enumerate_vertices(poly))
+    out = [(i, j, x.reshape(n, m).T)
+           for (i, j), poly in _pair_polytopes(table).items() for x in enumerate_vertices(poly)]
     if not out:
         raise RuntimeError("no feasible response pair found by enumeration")
     return out

@@ -18,14 +18,13 @@ from incentive_games.belief_engine import envelope_from_samples
 from incentive_games.matrix_games import (
     CostTable,
     agent_value_curve,
-    collect_xi,
     principal_value_curve,
     solve_g1,
     solve_g2,
     solve_g3,
     solve_g4,
 )
-from incentive_games.oracle import oracle_qg_montecarlo
+from incentive_games.oracle import collect_xi, oracle_qg_montecarlo
 from incentive_games.qg_games import (
     QGParams,
     disclosure_coefficient,

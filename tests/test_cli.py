@@ -333,17 +333,25 @@ def _four_by_four(tmp_path, prior: float):
 
 
 def test_capacity_limit_is_a_solver_error(tmp_path, capsys):
-    # every 4x4 response-pair polytope has C(22, 12) = 646646 candidate bases
+    # every 4x4 response-pair polytope has C(22, 12) = 646646 candidate bases,
+    # beyond the capacity of the oracles' vertex enumerator
     path = _four_by_four(tmp_path, 0.5)
-    assert run("g3", str(path)) == 3
+    assert run("verify", str(path)) == 3
     err = capsys.readouterr().err
-    assert err.startswith("solver error:")
+    assert err.startswith("solver error: the vertex-enumeration oracle")
     assert "646646 bases" in err
 
 
+def test_a_4x4_table_solves_where_only_the_oracles_hit_the_cap(tmp_path, capsys):
+    # the solvers walk the principal's optimum instead of enumerating vertices
+    path = _four_by_four(tmp_path, 0.5)
+    for command in ("g3", "g4"):
+        assert run_json(capsys, command, str(path))["game"] == command
+
+
 def test_lp_path_answers_where_the_vertex_profiles_cannot(tmp_path, capsys):
-    # g1, g2 and g3 at a degenerate prior solve LPs, not the vertex profiles
-    # that a 4x4 table exceeds, so they still answer
+    # g1, g2 and g3 at a degenerate prior solve LPs and build no vertex
+    # profile, so they answer whatever the table's size
     path = _four_by_four(tmp_path, 0.0)
     for command in ("g1", "g2", "g3"):
         assert run_json(capsys, command, str(path))["game"] == command

@@ -5,21 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incentive_games import lp_kernel
+from incentive_games import lp_kernel, oracle
 from incentive_games.lp_kernel import (
     LinearProgram,
     LpStatus,
     Polytope,
     SolverError,
-    enumerate_bounded_vertices,
-    enumerate_vertices,
     lexicographic_argmin,
     lexicographic_descent,
+    parametric_walk,
     phase_one,
     phase_two,
     solve_lp,
 )
 from incentive_games.matrix_games import CostTable, _pair_polytope
+from incentive_games.oracle import enumerate_bounded_vertices, enumerate_vertices
 
 try:  # test-only reference solver; the package itself needs only numpy
     from scipy.optimize import linprog
@@ -197,7 +197,7 @@ def test_enumeration_capacity_is_checked_before_building_bases(monkeypatch):
     # C(6, 3) = 20 candidate bases for the 3-cube
     cube = Polytope(dim=3, constraint_matrix=np.eye(3), rhs=np.ones(3))
     assert len(enumerate_vertices(cube)) == 8
-    monkeypatch.setattr(lp_kernel, "_MAX_BASES", 19)
+    monkeypatch.setattr(oracle, "_MAX_BASES", 19)
     with pytest.raises(SolverError, match="20 bases"):
         enumerate_vertices(cube)
     empty = Polytope(dim=3, constraint_matrix=np.vstack([np.eye(3), np.ones(3)]), rhs=[1.0, 1.0, 1.0, -1.0])
@@ -396,6 +396,61 @@ def test_phase_one_reports_an_empty_region():
     assert solve_lp(region.lp([1.0, 0.0])).status is LpStatus.INFEASIBLE
 
 
+def _lex_optimum(verts: list[np.ndarray], objectives: list[np.ndarray]) -> np.ndarray:
+    """The enumeration oracle's tie rule: the vertices optimal for the first
+    objective (within 1e-9), of those the ones optimal for the next, and so
+    on, then the lexicographically smallest."""
+    for c in objectives:
+        values = [float(c @ v) for v in verts]
+        verts = [v for v, value in zip(verts, values) if value <= min(values) + 1e-9]
+    return min(verts, key=lambda v: tuple(np.round(v, 9)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_bounded_lps(), st.integers(0, 2**32 - 1), st.booleans())
+def test_parametric_walk_equals_the_enumeration_oracle(lp, seed, two_levels):
+    # b (and a second level) drawn from {0, 1, 2}: ties are common. At every
+    # breakpoint, and inside every interval, the walk's point is the oracle's
+    # lexicographic optimum over all vertices.
+    start = phase_one(lp)
+    verts = enumerate_vertices(Polytope(dim=lp.dim, constraint_matrix=lp.constraint_matrix, rhs=lp.rhs,
+                                        equality_matrix=lp.equality_matrix, equality_rhs=lp.equality_rhs))
+    if start is None:
+        assert not verts
+        return
+    rng = np.random.default_rng(seed)
+    levels = [(lp.objective, rng.integers(0, 3, lp.dim).astype(float))]
+    if two_levels:
+        levels.append(tuple(rng.integers(0, 3, (2, lp.dim)).astype(float)))
+    walk = parametric_walk(start, levels)
+    assert walk.beliefs[0] == 0.0 and walk.beliefs[-1] == 1.0
+    assert all(s < t for s, t in zip(walk.beliefs, walk.beliefs[1:]))
+    assert len(walk.at) == len(walk.beliefs) == len(walk.between) + 1
+    mids = [0.5 * (s + t) for s, t in zip(walk.beliefs, walk.beliefs[1:])]
+    for mu, x in [*zip(walk.beliefs, walk.at), *zip(mids, walk.between)]:
+        want = _lex_optimum(verts, [mu * a + (1.0 - mu) * b for a, b in levels])
+        assert np.max(np.abs(x - want)) <= 1e-9
+
+
+def test_parametric_walk_breaks_ties_at_zero_toward_a():
+    # On the simplex x0 + x1 + x2 = 1, b ties x0 and x1 at mu = 0. At 0 itself
+    # the lex-min rule picks x1; just above 0, a picks x0, until x2 takes over
+    # at mu = 0.5, where x0 and x2 tie and the lex-min is x2.
+    region = Polytope(dim=3, equality_matrix=[[1.0, 1.0, 1.0]], equality_rhs=[1.0])
+    walk = parametric_walk(phase_one(region), [(np.array([1.0, 2.0, 0.0]), np.array([0.0, 0.0, 1.0]))])
+    assert walk.beliefs == (0.0, 0.5, 1.0)
+    assert [x.tolist() for x in walk.at] == [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
+    assert [x.tolist() for x in walk.between] == [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+def test_parametric_walk_holds_an_unconstrained_column_and_reports_a_ray():
+    region = Polytope(dim=2, equality_matrix=[[1.0, 0.0]], equality_rhs=[1.0])
+    walk = parametric_walk(phase_one(region), [(np.array([1.0, -1.0]), np.array([1.0, -1.0]))])
+    assert walk.at[0].tolist() == [1.0, 0.0]        # x1 is in no row: held at zero
+    ray = Polytope(dim=2, constraint_matrix=[[1.0, -1.0]], rhs=[1.0])
+    assert parametric_walk(phase_one(ray), [(np.array([-1.0, 0.0]), np.zeros(2))]) is None
+
+
 def test_vertices_satisfy_constraints():
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -479,7 +534,7 @@ def _naive_vertices(p: Polytope) -> list[np.ndarray]:
             verts.append(x)
     unique = []
     for v in verts:
-        if not any(np.max(np.abs(v - u)) <= lp_kernel.DEDUPE_TOL for u in unique):
+        if not any(np.max(np.abs(v - u)) <= oracle.DEDUPE_TOL for u in unique):
             unique.append(v)
     return unique
 
@@ -522,14 +577,14 @@ def _point_polytope(rng) -> Polytope:
     return Polytope(dim=d, equality_matrix=rng.integers(-2, 3, (d, d)), equality_rhs=rng.integers(-1, 3, d))
 
 
-@pytest.mark.parametrize("block", [lp_kernel._BASES_PER_BLOCK, 5])
+@pytest.mark.parametrize("block", [oracle._BASES_PER_BLOCK, 5])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 10_000), st.sampled_from([_random_polytope, _degenerate_polytope,
                                                 _pair_polytope_of, _point_polytope]))
 def test_batched_enumeration_equals_the_per_basis_reference(block, seed, make):
     p = make(np.random.default_rng(seed))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp_kernel, "_BASES_PER_BLOCK", block)
+        mp.setattr(oracle, "_BASES_PER_BLOCK", block)
         fast = _outcome(enumerate_vertices, p)
     slow = _outcome(_naive_vertices, p)
     if isinstance(slow, type):
@@ -564,15 +619,15 @@ def _polytope_family(rng) -> list[Polytope]:
     return family
 
 
-@pytest.mark.parametrize("block", [lp_kernel._BASES_PER_BLOCK, 5])
+@pytest.mark.parametrize("block", [oracle._BASES_PER_BLOCK, 5])
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(0, 10_000))
 def test_enumeration_of_several_polytopes_equals_the_per_basis_reference(block, seed):
     # one call for the whole family (with block 5, one system per batch, so
     # a polytope's bases span many batches) against each polytope alone
-    family = [p for p in _polytope_family(np.random.default_rng(seed)) if lp_kernel._bounded_and_feasible(p)]
+    family = [p for p in _polytope_family(np.random.default_rng(seed)) if oracle._bounded_and_feasible(p)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp_kernel, "_BASES_PER_BLOCK", block)
+        mp.setattr(oracle, "_BASES_PER_BLOCK", block)
         batched = enumerate_bounded_vertices(family)
     assert len(batched) == len(family)
     for got, p in zip(batched, family):
@@ -586,16 +641,16 @@ def test_candidate_bases_drop_only_systems_that_give_no_vertex():
     # x_t >= 0 rows, of which {0, 1} and {2, 3} zero a whole simplex
     eq = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
     G = -np.eye(4)[None]
-    assert lp_kernel._candidate_index(G, eq, np.ones(2)).tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]]
+    assert oracle._candidate_index(G, eq, np.ones(2)).tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]]
     # with rhs 0 the zeroed simplex is the vertex 0: nothing is dropped
-    assert len(lp_kernel._candidate_index(G, eq, np.zeros(2))) == 6
+    assert len(oracle._candidate_index(G, eq, np.zeros(2))) == 6
     # a row zero in every polytope of the call never joins a basis; one that
     # is zero in only some does
     zero_in_all = np.concatenate([np.zeros((2, 1, 4)), np.broadcast_to(-np.eye(4), (2, 4, 4))], axis=1)
-    assert 0 not in lp_kernel._candidate_index(zero_in_all, eq[:1], np.zeros(1))
+    assert 0 not in oracle._candidate_index(zero_in_all, eq[:1], np.zeros(1))
     zero_in_one = zero_in_all.copy()
     zero_in_one[1, 0] = 1.0
-    assert 0 in lp_kernel._candidate_index(zero_in_one, eq[:1], np.zeros(1))
+    assert 0 in oracle._candidate_index(zero_in_one, eq[:1], np.zeros(1))
     square = Polytope(dim=2, constraint_matrix=np.eye(2), rhs=np.ones(2))
     assert enumerate_bounded_vertices([]) == []
     with pytest.raises(ValueError, match="share"):
@@ -620,7 +675,7 @@ def test_enumeration_memory_is_bounded_by_the_block_size(monkeypatch):
         tracemalloc.stop()
     assert len(blocked) == 64
     assert peak < 32 * 2**20
-    monkeypatch.setattr(lp_kernel, "_BASES_PER_BLOCK", 10**6)
+    monkeypatch.setattr(oracle, "_BASES_PER_BLOCK", 10**6)
     whole = enumerate_vertices(p)
     assert len(whole) == len(blocked)
     assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
@@ -640,7 +695,7 @@ def test_pair_polytope_boundedness_takes_one_lp(monkeypatch):
         calls.append(lp)
         return solve_lp(lp)
 
-    monkeypatch.setattr(lp_kernel, "solve_lp", counted)
+    monkeypatch.setattr(oracle, "solve_lp", counted)
     assert enumerate_vertices(p)
     assert len(calls) == 1
     # and one LP for any other polytope: bounded, empty or unbounded
@@ -649,12 +704,12 @@ def test_pair_polytope_boundedness_takes_one_lp(monkeypatch):
     ray = Polytope(dim=2, constraint_matrix=[[1.0, -1.0]], rhs=[1.0])
     for poly, want in ((cube, True), (_random_polytope(rng), None), (empty, False)):
         calls.clear()
-        got = lp_kernel._bounded_and_feasible(poly)
+        got = oracle._bounded_and_feasible(poly)
         assert len(calls) == 1
         assert want is None or got is want
     calls.clear()
     with pytest.raises(ValueError, match="unbounded"):
-        lp_kernel._bounded_and_feasible(ray)
+        oracle._bounded_and_feasible(ray)
     assert len(calls) == 1
 
 

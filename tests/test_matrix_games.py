@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from incentive_games import lp_kernel, matrix_games
+from incentive_games import lp_kernel, matrix_games, oracle
 from incentive_games.belief_engine import envelope_from_samples
 from incentive_games.lp_kernel import (
     LinearProgram,
     Polytope,
     SolverError,
-    enumerate_bounded_vertices,
-    enumerate_vertices,
     lexicographic_argmin,
     solve_lp,
 )
@@ -26,13 +24,18 @@ from incentive_games.matrix_games import (
     _scheme_key,
     _to_matrix,
     agent_value_curve,
-    collect_xi,
     principal_value_curve,
     solve_g1,
     solve_g2,
     solve_g3,
     solve_g4,
     value_curves,
+)
+from incentive_games.oracle import (
+    collect_xi,
+    enumerate_bounded_vertices,
+    enumerate_vertices,
+    oracle_g2_by_enumeration,
 )
 from incentive_games.scenarios import load_scenario
 
@@ -353,10 +356,64 @@ def test_g2_scheme_is_an_optimal_vertex_with_entries_near_1e8():
     assert any(np.array_equal(r.scheme.columns, v) for v in vertices)
 
 
+# A 3x3 table with cp0[0][1] = -1, ca0[0][1] = float32(1e-8) and every other
+# entry 0. In state one, action 1 is a best response only where
+# gamma[0][1] = 0 (it costs the agent 1e-8 * gamma[0][1] against 0), so
+# jp2(1) = 0.0, which solve_g1, HiGHS and oracle_g2_by_enumeration all give.
+# Polytope.contains accepts a row broken by up to its absolute FEAS_TOL of
+# 1e-8, so the vertex enumerator keeps the scheme with gamma[0][1] = 1 as a
+# vertex of pairs (1, j); value_curves read -1.0 while it was built on that
+# enumeration.
+def _near_feasible_table() -> CostTable:
+    cp0, ca0 = np.zeros((3, 3)), np.zeros((3, 3))
+    cp0[0, 1], ca0[0, 1] = -1.0, np.float32(1e-8)
+    return CostTable(cp=(cp0, np.zeros((3, 3))), ca=(ca0, np.zeros((3, 3))))
+
+
+NEAR_FEASIBLE_TABLE = _near_feasible_table()
+
+
+# NEAR_FEASIBLE_TABLE with ca0[2][1] = 1 as well. The broken row is
+# 1e-8 * gamma[0][1] + gamma[2][1] <= 0, whose largest coefficient is 1, so
+# a FEAS_TOL scaled by the row's largest coefficient would still accept the
+# scheme with gamma[0][1] = 1.
+def _second_near_feasible_table() -> CostTable:
+    cp0, ca0 = np.zeros((3, 3)), np.zeros((3, 3))
+    cp0[0, 1], ca0[0, 1], ca0[2, 1] = -1.0, np.float32(1e-8), 1.0
+    return CostTable(cp=(cp0, np.zeros((3, 3))), ca=(ca0, np.zeros((3, 3))))
+
+
+SECOND_NEAR_FEASIBLE_TABLE = _second_near_feasible_table()
+
+
+def test_g1_state_one_cost_is_jp2_at_belief_one_where_a_row_is_broken_within_feas_tol():
+    _, jp, _ = value_curves(NEAR_FEASIBLE_TABLE, 2)
+    assert solve_g1(NEAR_FEASIBLE_TABLE, 0.5).per_state[0].principal_cost == pytest.approx(jp[1], abs=1e-12)
+    assert jp[1] == 0.0
+
+
+def test_g1_state_one_cost_is_jp2_at_belief_one_where_a_row_with_a_unit_coefficient_is_broken():
+    table = SECOND_NEAR_FEASIBLE_TABLE
+    _, jp, _ = value_curves(table, 2)
+    assert solve_g1(table, 0.5).per_state[0].principal_cost == pytest.approx(jp[1], abs=1e-12)
+    assert jp[1] == 0.0
+
+
+@pytest.mark.xfail(strict=True, reason="Polytope.contains accepts a best-response row broken by up to FEAS_TOL")
+@pytest.mark.parametrize("table", [NEAR_FEASIBLE_TABLE, SECOND_NEAR_FEASIBLE_TABLE])
+def test_the_enumerator_keeps_no_scheme_that_breaks_a_best_response_row(table):
+    # In pairs (1, j) action 1 must be a best response in state one, which
+    # forces gamma[0][1] = 0; the oracle's enumerator keeps gamma[0][1] = 1.
+    groups = collect_xi(table).groups
+    assert not any(gamma[0, 1] == 1.0 for (i, _), mats in groups.items() if i == 1 for gamma in mats)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_small_tables())
 @example(load_scenario("scenarioA").table)
 @example(load_scenario("scenarioB").table)
+@example(NEAR_FEASIBLE_TABLE)
+@example(SECOND_NEAR_FEASIBLE_TABLE)
 def test_g1_per_state_costs_are_g2_at_beliefs_one_and_zero(table):
     # cli._full_information_line reads g1's per-state costs as the g2 values
     # at beliefs 1 and 0. At belief 1 only state one's cost counts, and every
@@ -492,12 +549,15 @@ def test_g2_runs_phase_one_once_per_pair_polytope(monkeypatch):
     assert [(s.array.tobytes(), s.basis.tobytes()) for s in starts if s is not None] == cached
 
 
-# A 2x3 table with entries at float32 scale. At belief 0.7000000000000001
-# the simplex pivots pair (0, 0) on a 3.7e-9 element, just above its
-# absolute 1e-9 pivot tolerance; the tableau reaches 2.3e16 and the LP
-# reports as optimal a point that breaks a row by 0.578. solve_g2 then reads
-# -2.975, while value_curves, oracle_g2_by_enumeration and HiGHS over all
-# nine pairs give -3.627.
+# A 2x3 table with entries at float32 scale. HiGHS (scipy's linprog over all
+# nine pair LPs) and oracle_g2_by_enumeration both give the g2 value
+# -3.626541235646406 at belief 0.7000000000000001. Phase one of pair (0, 0)
+# pivots on a 3.7e-9 element, just above the simplex's absolute 1e-9 pivot
+# tolerance, and its cached tableau is not feasible after that. Phase two
+# from it reports as optimal a point that breaks a row by 0.578, so
+# solve_g2 reads -2.975. The parametric walk of pair (0, 0) starts from the
+# same tableau and its vertex is infeasible too, but that pair does not win
+# at this belief, so value_curves reads the right value.
 TINY_PIVOT_TABLE = CostTable(
     cp=(
         [[-4.4372687339782715, -3.9484379291534424, 2.9042818546295166],
@@ -510,111 +570,44 @@ TINY_PIVOT_TABLE = CostTable(
          [1.1920928955078125e-07, -3.261648178100586, 4.0158915519714355]],
     ),
 )
+TINY_PIVOT_G2 = -3.626541235646406
+
+
+def test_the_value_curves_where_a_tiny_pivot_breaks_a_row():
+    xs, jp, _ = value_curves(TINY_PIVOT_TABLE, 11)
+    assert xs[7] == 0.7000000000000001
+    assert jp[7] == pytest.approx(TINY_PIVOT_G2, abs=1e-9)
 
 
 @pytest.mark.xfail(strict=True, reason="the simplex accepts a 3.7e-9 pivot and reports an infeasible point as optimal")
-def test_g2_equals_the_value_curves_where_a_tiny_pivot_breaks_a_row():
-    xs, jp, _ = value_curves(TINY_PIVOT_TABLE, 11)
-    assert xs[7] == 0.7000000000000001
-    assert solve_g2(TINY_PIVOT_TABLE, xs[7]).principal_cost == pytest.approx(jp[7], abs=1e-9)
-
-
-# A 3x3 table with cp0[0][1] = -1, ca0[0][1] = float32(1e-8) and every other
-# entry 0. In state one, action 1 is a best response only where
-# gamma[0][1] = 0 (it costs the agent 1e-8 * gamma[0][1] against 0), but
-# Polytope.contains accepts a row broken by up to its absolute FEAS_TOL of
-# 1e-8, so the scheme with gamma[0][1] = 1 stays a vertex of pairs (1, j):
-# value_curves gives jp2(1) = -1.0, while solve_g1's state-one cost is 0.0.
-def _near_feasible_table() -> CostTable:
-    cp0, ca0 = np.zeros((3, 3)), np.zeros((3, 3))
-    cp0[0, 1], ca0[0, 1] = -1.0, np.float32(1e-8)
-    return CostTable(cp=(cp0, np.zeros((3, 3))), ca=(ca0, np.zeros((3, 3))))
-
-
-NEAR_FEASIBLE_TABLE = _near_feasible_table()
-
-
-@pytest.mark.xfail(strict=True, reason="Polytope.contains accepts a best-response row broken by up to FEAS_TOL")
-def test_g1_state_one_cost_is_jp2_at_belief_one_where_a_row_is_broken_within_feas_tol():
-    _, jp, _ = value_curves(NEAR_FEASIBLE_TABLE, 2)
-    assert solve_g1(NEAR_FEASIBLE_TABLE, 0.5).per_state[0].principal_cost == pytest.approx(jp[1], abs=1e-12)
-
-
-# NEAR_FEASIBLE_TABLE with ca0[2][1] = 1 as well. The broken row is
-# 1e-8 * gamma[0][1] + gamma[2][1] <= 0, whose largest coefficient is 1, so
-# a FEAS_TOL scaled by the row's largest coefficient still accepts the
-# scheme with gamma[0][1] = 1: value_curves gives jp2(1) = -1.0, while
-# solve_g1's state-one cost is 0.0.
-def _second_near_feasible_table() -> CostTable:
-    cp0, ca0 = np.zeros((3, 3)), np.zeros((3, 3))
-    cp0[0, 1], ca0[0, 1], ca0[2, 1] = -1.0, np.float32(1e-8), 1.0
-    return CostTable(cp=(cp0, np.zeros((3, 3))), ca=(ca0, np.zeros((3, 3))))
-
-
-@pytest.mark.xfail(strict=True, reason="Polytope.contains accepts a best-response row broken by up to FEAS_TOL")
-def test_g1_state_one_cost_is_jp2_at_belief_one_where_a_row_with_a_unit_coefficient_is_broken():
-    table = _second_near_feasible_table()
-    _, jp, _ = value_curves(table, 2)
-    assert solve_g1(table, 0.5).per_state[0].principal_cost == pytest.approx(jp[1], abs=1e-12)
+def test_g2_where_a_tiny_pivot_breaks_a_row():
+    assert solve_g2(TINY_PIVOT_TABLE, 0.7000000000000001).principal_cost == pytest.approx(TINY_PIVOT_G2, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
-# vertex profiles: one batched enumeration per table
+# vertex profiles: one parametric walk per pair
 # ---------------------------------------------------------------------------
 
 
-def _profile_bits_pair_by_pair(table: CostTable, vertices) -> list[tuple]:
-    """The vertex profiles as they were built one pair at a time, as bytes:
-    each nonempty pair's vertices (from enumerate_vertices, in pair order)
-    sorted by _scheme_key, each reshaped into a scheme on its own, its costs
-    one dot product each."""
-    m, n = table.m, table.n
-    out = []
-    for (i, j), verts in zip([(i, j) for i in range(n) for j in range(n)], vertices):
-        if not verts:
-            continue
-        mats = []
-        for v in sorted(verts, key=_scheme_key):
-            gamma = np.clip(v.reshape(n, m).T, 0.0, None) + 0.0
-            mats.append(gamma / gamma.sum(axis=0))
-        p = np.array([[g[:, i] @ table.cp[0][:, i], g[:, j] @ table.cp[1][:, j]] for g in mats])
-        a = np.array([[g[:, i] @ table.ca[0][:, i], g[:, j] @ table.ca[1][:, j]] for g in mats])
-        out.append(((i, j), np.stack(mats).tobytes(), p.tobytes(), a.tobytes()))
-    return out
-
-
-@pytest.mark.parametrize("block", [lp_kernel._BASES_PER_BLOCK, 64])
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(_small_tables())
 @example(_dominant_column_table())
-@example(TINY_PIVOT_TABLE)
 @example(NEAR_FEASIBLE_TABLE)
+@example(SECOND_NEAR_FEASIBLE_TABLE)
+@example(load_scenario("scenarioA").table)
 @example(load_scenario("scenarioB").table)
-def test_pair_profiles_equal_per_pair_enumeration_bit_for_bit(block, table):
-    # The nonempty pairs go through one batched enumeration (with block 64,
-    # 16 systems per batch, so every batch boundary of a 3x3 table falls
-    # inside a pair); each pair's vertices, and the profiles built from
-    # them, must be what its own enumerate_vertices call gives.
-    table = CostTable(cp=table.cp, ca=table.ca)         # a new object: nothing cached
-    n = table.n
-    polytopes = [_pair_polytope(table, i, j) for i in range(n) for j in range(n)]
-    singly = [enumerate_vertices(p) for p in polytopes]
-    nonempty = [s is not None for s in _pair_phase_ones(table)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp_kernel, "_BASES_PER_BLOCK", block)
-        batched = enumerate_bounded_vertices([p for p, ok in zip(polytopes, nonempty) if ok])
-        profiles = _pair_profiles(table)
-    assert all(not verts for verts, ok in zip(singly, nonempty) if not ok)
-    assert len(batched) == sum(nonempty)
-    for got, want in zip(batched, [verts for verts, ok in zip(singly, nonempty) if ok]):
-        assert len(got) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    assert [(p.group, p.schemes.tobytes(), p.principal.tobytes(), p.agent.tobytes())
-            for p in profiles] == _profile_bits_pair_by_pair(table, singly)
-    assert all(p.schemes.flags.c_contiguous for p in profiles)
+def test_value_curves_equal_the_enumeration_oracle(table):
+    # the walk visits only principal-optimal vertices; the oracle evaluates
+    # every vertex of every pair polytope
+    xs, jp, _ = value_curves(table, 11)
+    vertices = oracle._oracle_vertices(table)      # oracle_g2_by_enumeration, enumerated once
+    assert jp == pytest.approx([oracle._g2_by_evaluation(table, vertices, mu) for mu in xs], abs=1e-9)
+    assert jp[5] == pytest.approx(oracle_g2_by_enumeration(table, xs[5]), abs=1e-9)
 
 
 def test_pair_profiles_solve_no_lp_and_share_g2_phase_ones(monkeypatch):
+    # The profiles walk from the pair polytopes' cached phase ones, so they
+    # run no phase one beyond the n^2 that solve_g2 runs too.
     rng = np.random.default_rng(3)
     mats = [rng.integers(0, 6, (3, 3)).astype(float) for _ in range(4)]
     counts = Counter()
@@ -643,48 +636,24 @@ def test_pair_profiles_solve_no_lp_and_share_g2_phase_ones(monkeypatch):
     assert counts["phase_one"] == 9     # n^2 in all: the profiles and g2 share them
 
 
-def _all_indifferent_two_by_six() -> CostTable:
-    # The agent is indifferent everywhere: every best-response row is 0 <= 0,
-    # so each of the 36 pair polytopes is the product of six 2-point
-    # simplices, 64 vertices among C(22, 6) = 74,613 candidate bases.
-    cp = np.arange(12.0).reshape(2, 6)
-    return CostTable(cp=(cp, cp), ca=(np.zeros((2, 6)), np.zeros((2, 6))))
-
-
-def _three_by_three() -> CostTable:
-    # an integer table whose nine pair polytopes are all nonempty: 340
-    # vertices among 9 * 1,716 candidate bases
-    rng = np.random.default_rng(1)
-    mats = [rng.integers(0, 6, (3, 3)).astype(float) for _ in range(4)]
+def _large_table(shape) -> CostTable:
+    rng = np.random.default_rng(5)
+    mats = [rng.uniform(0.0, 5.0, shape) for _ in range(4)]
     return CostTable(cp=(mats[0], mats[1]), ca=(mats[2], mats[3]))
 
 
-@pytest.mark.parametrize("make, limit_mb", [(_three_by_three, 6), (_all_indifferent_two_by_six, 10)])
-def test_pair_profiles_memory_is_bounded_by_the_batch(make, limit_mb):
-    # One batch holds a quarter of _BASES_PER_BLOCK systems whatever the
-    # table: the peak is about 2.6 MB for the 3x3 table (3.7 MB on the first
-    # call in a process) and 5.3 MB for the 2x6 one. All of the 3x3 table's
-    # systems in one batch would peak at 13.9 MB, and the 2x6 table's 1.7
-    # million 12x12 systems at gigabytes.
-    table = make()
-    tracemalloc.start()
-    try:
-        profiles = _pair_profiles(table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < limit_mb * 2**20
-    if make is _all_indifferent_two_by_six:
-        assert [len(p.schemes) for p in profiles] == [64] * 36
-    else:
-        assert sum(len(p.schemes) for p in profiles) == 340
+@pytest.mark.parametrize("shape", [(4, 4), (3, 5)])
+def test_a_table_too_large_to_enumerate_solves_g3(shape):
+    table = _large_table(shape)
+    r = solve_g3(table, 0.5)
+    assert r.split.is_plausible(0.5, tol=1e-9)
+    assert r.agent_cost <= solve_g2(table, 0.5).agent_cost + 1e-9
 
 
 @pytest.mark.parametrize("shape, bases", [((4, 4), 646646), ((3, 5), 1144066)])
-def test_a_table_too_large_to_enumerate_fails_before_any_lp_or_basis(shape, bases, monkeypatch):
-    rng = np.random.default_rng(5)
-    mats = [rng.uniform(0.0, 5.0, shape) for _ in range(4)]
-    table = CostTable(cp=(mats[0], mats[1]), ca=(mats[2], mats[3]))
+def test_collect_xi_refuses_a_table_too_large_to_enumerate(shape, bases, monkeypatch):
+    # the oracle's enumerator checks its capacity before any LP or basis
+    table = _large_table(shape)
     calls = []
 
     def refused(name):
@@ -693,12 +662,10 @@ def test_a_table_too_large_to_enumerate_fails_before_any_lp_or_basis(shape, base
             raise AssertionError(f"{name} ran")
         return record
 
-    for module in (lp_kernel, matrix_games):
-        monkeypatch.setattr(module, "phase_one", refused("phase_one"))
-    monkeypatch.setattr(lp_kernel, "_candidate_index", refused("_candidate_index"))
-    for _ in range(2):
-        with pytest.raises(SolverError, match=f"would examine {bases} bases"):
-            solve_g3(table, 0.5)
+    monkeypatch.setattr(oracle, "phase_one", refused("phase_one"))
+    monkeypatch.setattr(oracle, "_candidate_index", refused("_candidate_index"))
+    with pytest.raises(SolverError, match=f"would examine {bases} bases"):
+        collect_xi(table)
     assert calls == []
 
 
@@ -717,6 +684,74 @@ def test_curve_rejects_tiny_grid(table_a):
 # ---------------------------------------------------------------------------
 # candidate-scheme collection
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("block", [oracle._BASES_PER_BLOCK, 64])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_small_tables())
+@example(_dominant_column_table())
+@example(TINY_PIVOT_TABLE)
+@example(NEAR_FEASIBLE_TABLE)
+@example(load_scenario("scenarioB").table)
+def test_collect_xi_equals_per_pair_enumeration_bit_for_bit(block, table):
+    # collect_xi enumerates the nonempty pairs in one batched call (with
+    # block 64, 16 systems per batch, so every batch boundary of a 3x3 table
+    # falls inside a pair); each pair's vertices, and the schemes built from
+    # them, must be what its own enumerate_vertices call gives.
+    m, n = table.m, table.n
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    polytopes = [_pair_polytope(table, i, j) for i, j in pairs]
+    singly = [enumerate_vertices(p) for p in polytopes]
+    nonempty = [lp_kernel.phase_one(p) is not None for p in polytopes]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_BASES_PER_BLOCK", block)
+        batched = enumerate_bounded_vertices([p for p, ok in zip(polytopes, nonempty) if ok])
+        groups = collect_xi(table).groups
+    assert all(not verts for verts, ok in zip(singly, nonempty) if not ok)
+    assert len(batched) == sum(nonempty)
+    for got, want in zip(batched, [verts for verts, ok in zip(singly, nonempty) if ok]):
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    for pair, verts in zip(pairs, singly):
+        want = sorted((_to_matrix(v, m, n) for v in verts), key=_scheme_key)
+        assert [g.tobytes() for g in groups[pair]] == [g.tobytes() for g in want]
+
+
+def _all_indifferent_two_by_six() -> CostTable:
+    # The agent is indifferent everywhere: every best-response row is 0 <= 0,
+    # so each of the 36 pair polytopes is the product of six 2-point
+    # simplices, 64 vertices among C(22, 6) = 74,613 candidate bases.
+    cp = np.arange(12.0).reshape(2, 6)
+    return CostTable(cp=(cp, cp), ca=(np.zeros((2, 6)), np.zeros((2, 6))))
+
+
+def _three_by_three() -> CostTable:
+    # an integer table whose nine pair polytopes are all nonempty: 340
+    # vertices among 9 * 1,716 candidate bases
+    rng = np.random.default_rng(1)
+    mats = [rng.integers(0, 6, (3, 3)).astype(float) for _ in range(4)]
+    return CostTable(cp=(mats[0], mats[1]), ca=(mats[2], mats[3]))
+
+
+@pytest.mark.parametrize("make, limit_mb", [(_three_by_three, 6), (_all_indifferent_two_by_six, 10)])
+def test_collect_xi_memory_is_bounded_by_the_batch(make, limit_mb):
+    # One batch holds a quarter of _BASES_PER_BLOCK systems whatever the
+    # table: the peak is about 2.6 MB for the 3x3 table (3.7 MB on the first
+    # call in a process) and 5.3 MB for the 2x6 one. All of the 3x3 table's
+    # systems in one batch would peak at 13.9 MB, and the 2x6 table's 1.7
+    # million 12x12 systems at gigabytes.
+    table = make()
+    tracemalloc.start()
+    try:
+        groups = collect_xi(table).groups
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20
+    if make is _all_indifferent_two_by_six:
+        assert [len(mats) for mats in groups.values()] == [64] * 36
+    else:
+        assert sum(len(mats) for mats in groups.values()) == 340
 
 
 def test_collect_xi_groups_on_a(table_a):
@@ -843,22 +878,22 @@ def test_g3_properties_random(table, prior):
 
 
 def test_g3_at_an_interior_prior_solves_no_lp(table_b, monkeypatch):
-    # Every simplex phase of every LP, phase one or two, solve_lp or not,
-    # pivots through lp_kernel._bland_simplex, so counting its calls counts
-    # all LP work.
+    # Every pivot of every routine, phase one, phase two, the lex-min and the
+    # parametric walks, goes through lp_kernel._pivot, so counting its calls
+    # counts all LP work.
     _pair_profiles(table_b)
     calls = []
-    real = lp_kernel._bland_simplex
+    real = lp_kernel._pivot
 
-    def counted(tableau, basis):
+    def counted(tableau, row, col):
         calls.append(tableau.shape)
-        return real(tableau, basis)
+        return real(tableau, row, col)
 
-    monkeypatch.setattr(lp_kernel, "_bland_simplex", counted)
-    for prior in (0.3, 0.75):
+    monkeypatch.setattr(lp_kernel, "_pivot", counted)
+    for prior in (0.3, 0.75, 0.123456789):
         solve_g3(table_b, prior)
     assert calls == []
-    solve_g3(table_b, 1.0)      # g3 is g2 at a degenerate prior: LPs, counted
+    solve_g3(CostTable(cp=table_b.cp, ca=table_b.ca), 0.3)     # a new object: walks, counted
     assert calls
 
 
@@ -884,7 +919,7 @@ DRIFTING_TABLE = CostTable(
 def test_g3_solves_where_phase_one_drifted(monkeypatch):
     # the default pivot cap would stop a run like the old one after ~5,000
     # pivots; with a cap of 2 per tableau line, the simplex runs that remain
-    # (the vertex enumeration behind solve_g3, and solve_g2 below) still finish
+    # (the parametric walks behind solve_g3, and solve_g2 below) still finish
     monkeypatch.setattr(lp_kernel, "_PIVOTS_PER_LINE", 2)
     prior = 0.629498698921407
     r = solve_g3(DRIFTING_TABLE, prior)
