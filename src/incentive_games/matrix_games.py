@@ -25,14 +25,18 @@ changes. The simplex's phase one of each response pair's LP reads only the
 pair's constraints, so it runs once per polytope (_pair_phase_ones); g2 at
 any belief runs only phase two from a copy of each feasible pair's tableau,
 and its lex-min goes on from the winning pair's phase-two tableau. The
-vertex profiles (_pair_profiles) hold, per nonempty pair, only the vertices
-that a tie rule picks at some belief. Two parametric walks of the belief
-from 0 to 1 (lp_kernel.parametric_walk) find them from the same phase ones:
-one breaks the principal's ties by the lex-min rule, as g2 does, and one by
-the agent's least cost first, as g3 does. No vertex is enumerated, so the
-size of a table limits nothing but time. value_curves, g3 and g4 read only
-these profiles: once they are built, g3 at an interior prior takes no
-pivot.
+vertex profiles (_pair_profiles) hold, per response pair that can be
+principal-optimal, only the vertices that a tie rule picks at some belief.
+Parametric walks of the belief from 0 to 1 (lp_kernel.parametric_walk) find
+them from the same phase ones: one breaks the principal's ties by the
+agent's least cost first, as g3 does, and one, run only where the agent
+broke a tie, by the lex-min rule, as g2 does. A pair whose least possible
+principal cost lies above the walked pairs' lower envelope by a margin at
+every belief is not walked, and a walked pair whose vertices all lie that
+far above it is dropped; the kept profiles are the ones every pair's walks
+give. No vertex is enumerated, so the size of a table limits nothing but
+time. value_curves, g3 and g4 read only these profiles: once they are
+built, g3 at an interior prior takes no pivot.
 """
 
 from __future__ import annotations
@@ -285,8 +289,14 @@ def _state_cost(mats: tuple[np.ndarray, np.ndarray], k: int, rec: int) -> np.nda
     return c
 
 
+def _same_vertex(x) -> np.ndarray:
+    """The "same vertex" rule of the profiles and the oracle's group sort:
+    points equal after rounding to 9 decimals (-0.0 made 0.0) are one."""
+    return np.round(x, 9) + 0.0
+
+
 def _scheme_key(x: np.ndarray) -> tuple:
-    return tuple(np.round(np.asarray(x).reshape(-1), 9) + 0.0)
+    return tuple(_same_vertex(np.asarray(x).reshape(-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,57 +412,137 @@ class _PairProfile:
     agent: np.ndarray                     # (n_vertices, 2)
 
 
-def _tie_rule_vertices(start: Tableau, cost, agent) -> list[np.ndarray]:
-    """The vertices of one pair polytope that the tie rules can pick at some
-    belief, from parametric walks of mu from 0 to 1 (`cost` and `agent` hold
-    the pair's state-one and state-two objectives). The principal's cost,
-    ties to the agent's least cost and then to the lex-min vertex, gives
-    g3's recommended scheme; the principal's cost, ties to the lex-min
-    vertex, gives solve_g2's scheme at every belief. The second walk has
-    the first one's points unless the agent's cost broke a tie there."""
-    points = []
-    for levels in ((cost, agent), (cost,)):
-        walk = parametric_walk(start, levels)
+def _dominated(lines: np.ndarray, kept: np.ndarray, margin: float) -> np.ndarray:
+    """Per row (p0, p1) of `lines`, whether mu * p0 + (1 - mu) * p1 lies
+    above the lower envelope of the `kept` lines by more than `margin` at
+    every mu in [0, 1]. A kept line sits more than the margin below a line
+    on all of [0, 1], on some [0, x), on some (x, 1] or nowhere, as the gap
+    is affine in mu; the line is dominated when one kept line covers all of
+    [0, 1], or the largest left end is past the smallest right start. No
+    breakpoint of the envelope is needed, and the cost is O(lines * kept)."""
+    above1, above0 = (lines[:, None, k] - kept[None, :, k] for k in (0, 1))   # at mu = 1 and 0
+    gap1, gap0 = above1 - margin, above0 - margin
+    left, right = (gap0 > 0) & (gap1 <= 0), (gap1 > 0) & (gap0 <= 0)
+    cross = gap0 / np.where(left | right, above0 - above1, 1.0)     # where the gap is the margin
+    ends = np.where(left, cross, -np.inf).max(axis=1, initial=-np.inf)
+    starts = np.where(right, cross, np.inf).min(axis=1, initial=np.inf)
+    return np.any((gap0 > 0) & (gap1 > 0), axis=1) | (ends > starts)
+
+
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The index of each distinct row's first occurrence, in lexicographic
+    order of the rows (np.unique(rows, axis=0, return_index=True)[1]): a
+    stable sort keeps equal rows in their given order."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    return order[new]
+
+
+def _profile(table: CostTable, group: tuple[int, int], points: list[np.ndarray]) -> _PairProfile | None:
+    """A pair's profile from its walks' points: sorted lexicographically by
+    the stacked-columns point under the "same vertex" rounding
+    (_same_vertex), equal ones kept once, so the first optimal one is the
+    lex-min; None when no point is a scheme."""
+    m, n = table.m, table.n
+    i, j = group
+    verts = np.array(points).reshape(-1, m * n)
+    # a walk from a phase one that lost feasibility on a tiny pivot can
+    # reach a point whose columns are no distribution: it is no scheme
+    verts = verts[np.all(verts.reshape(-1, n, m).sum(axis=2) >= 0.5, axis=1)]
+    if not len(verts):
+        return None
+    mats = _to_matrix(verts[_unique_rows(_same_vertex(verts))], m, n)
+    # per vertex, state one's cost at response i and state two's at j:
+    # (1, m) @ (m, 1) products, the dot products of a scheme's columns
+    p, a = (np.concatenate([mats[:, None, :, i] @ c[0][:, i, None],
+                            mats[:, None, :, j] @ c[1][:, j, None]], axis=1)[..., 0]
+            for c in (table.cp, table.ca))
+    return _PairProfile(group, np.ascontiguousarray(mats), p, a)
+
+
+def _walked_profiles(table: CostTable, margin: float) -> tuple[_PairProfile, ...] | None:
+    """_pair_profiles with pairs pruned at `margin` (np.inf prunes none);
+    None when a principal-only walk fails on round-off after its pair's
+    first-walk lines have pruned others."""
+    n = table.n
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    starts = _pair_phase_ones(table)
+    # a scheme column is a distribution, so no vertex of pair (i, j) costs
+    # the principal less than the least entry of its response column
+    bound = np.stack([np.repeat(table.cp[0].min(axis=0), n), np.tile(table.cp[1].min(axis=0), n)], axis=1)
+    first, kept = {}, np.empty((0, 2))
+    for k in np.argsort(bound.sum(axis=1), kind="stable"):
+        if starts[k] is None or _dominated(bound[k : k + 1], kept, margin)[0]:
+            continue
+        i, j = pairs[k]
+        levels = tuple((_state_cost(c, 0, i), _state_cost(c, 1, j)) for c in (table.cp, table.ca))
+        walk = parametric_walk(starts[k], levels)
         if walk is None:        # round-off made a bounded column unbounded
-            return []
-        points += [*walk.at, *walk.between]
-        if not walk.refined:
-            break
-    return points
+            continue
+        prof = _profile(table, pairs[k], [*walk.at, *walk.between])
+        first[k] = levels, walk, prof
+        if prof is not None:
+            kept = np.vstack([kept, prof.principal])
+    profiles = []
+    for k in sorted(first):
+        levels, walk, prof = first[k]
+        if _dominated(bound[k : k + 1] if prof is None else prof.principal, kept, margin).all():
+            continue
+        if walk.refined:
+            second = parametric_walk(starts[k], levels[:1])
+            if second is None:
+                if np.isfinite(margin):
+                    return None
+                continue
+            prof = _profile(table, pairs[k], [*walk.at, *walk.between, *second.at, *second.between])
+        if prof is not None:
+            profiles.append(prof)
+    return tuple(profiles)
 
 
 @lru_cache(maxsize=128)
 def _pair_profiles(table: CostTable) -> tuple[_PairProfile, ...]:
-    """Per nonempty response pair, the vertices that a tie rule picks at
-    some belief (_tie_rule_vertices), with their per-state costs; each
-    pair's are sorted lexicographically by the stacked-columns point
-    rounded to 9 decimals, equal ones kept once, so the first optimal one
-    is the lex-min. Each walk starts from the pair's cached phase one
-    (_pair_phase_ones), so no phase one runs here."""
-    m, n = table.m, table.n
-    profiles = []
-    for (i, j), start in zip([(i, j) for i in range(n) for j in range(n)], _pair_phase_ones(table)):
-        if start is None:
-            continue
-        cost, agent = ((_state_cost(c, 0, i), _state_cost(c, 1, j)) for c in (table.cp, table.ca))
-        verts = np.array(_tie_rule_vertices(start, cost, agent)).reshape(-1, m * n)
-        # a walk from a phase one that lost feasibility on a tiny pivot can
-        # reach a point whose columns are no distribution: it is no scheme
-        verts = verts[np.all(verts.reshape(-1, n, m).sum(axis=2) >= 0.5, axis=1)]
-        if not len(verts):
-            continue
-        # np.unique keeps each rounded point once, sorted lexicographically
-        _, first = np.unique(np.round(verts, 9) + 0.0, axis=0, return_index=True)
-        mats = _to_matrix(verts[first], m, n)
-        # per vertex, state one's cost at response i and state two's at j:
-        # (1, m) @ (m, 1) products, the dot products of a scheme's columns
-        p, a = (np.concatenate([mats[:, None, :, i] @ c[0][:, i, None],
-                                mats[:, None, :, j] @ c[1][:, j, None]], axis=1)[..., 0]
-                for c in (table.cp, table.ca))
-        profiles.append(_PairProfile((i, j), np.ascontiguousarray(mats), p, a))
+    """Per response pair that can be principal-optimal somewhere, in pair
+    order, the vertices that a tie rule picks at some belief, with their
+    per-state costs (_profile).
+
+    Two parametric walks of the belief from 0 to 1 (lp_kernel.parametric_walk)
+    find a pair's vertices, each from its cached phase one
+    (_pair_phase_ones), so no phase one runs here. The first breaks the
+    principal's ties by the agent's least cost and then the lex-min rule,
+    which gives g3's recommended scheme; the second, principal-only, breaks
+    them by the lex-min rule alone, which gives solve_g2's scheme. It runs
+    only when the agent broke a tie in the first (Walk.refined), since it
+    would otherwise find the same points.
+
+    Most pairs can be skipped. A vertex's state-k principal cost is a
+    distribution dotted with the response column, so the line L = (min
+    cp0[:, i], min cp1[:, j]) lies below every vertex line of pair (i, j).
+    The first walks run in increasing L(0) + L(1) order (ties in pair
+    order), and a pair whose L lies above the lower envelope of the walked
+    vertices' lines by more than a margin at every belief (_dominated) is
+    not walked. After the first walks a pair is dropped when each of its
+    own lines lies above that envelope by the margin; the second walks run
+    only for the refined pairs left. This is sound: at every belief the
+    envelope is met by a vertex of a kept pair (a dropped pair's lines all
+    lie above it), so jp2 is at most the envelope, and a pruned pair's
+    vertices (a second walk's too, as they are optimal in the pair where
+    they are found) lie above it by the margin, far more than
+    _OPTIMAL_TOL, so no tie rule could pick them. The margin, 10 * BEST_RESPONSE_TOL * (1 +
+    max |cp|), is above a vertex cost's round-off. So every kept profile is
+    the one an unpruned build gives, and value_curves, solve_g3 and
+    solve_g4 read the same numbers. Should a second walk fail on round-off
+    (an unbounded column), its pair has no profile and its lines may have
+    pruned others, so the build is redone unpruned."""
+    margin = 10 * BEST_RESPONSE_TOL * (1.0 + np.abs(table.cp).max())
+    profiles = _walked_profiles(table, margin)
+    if profiles is None:
+        profiles = _walked_profiles(table, np.inf)
     if not profiles:
         raise SolverError("no inducible response pair")
-    return tuple(profiles)
+    return profiles
 
 
 def _curves_from_profiles(
@@ -511,7 +601,7 @@ def _principal_breakpoints(principal: np.ndarray) -> list[float]:
     changes line. The walk starts at mu = 0 and moves each time to the
     least-slope line at the first crossing with a line of smaller slope, so
     the slope falls at every step; each step is O(lines)."""
-    lines = np.unique(principal, axis=0)
+    lines = principal[_unique_rows(principal)]
     start, slope = lines[:, 1], lines[:, 0] - lines[:, 1]
     cur = np.flatnonzero(start <= start.min() + _OPTIMAL_TOL)
     cur = cur[np.argmin(slope[cur])]
