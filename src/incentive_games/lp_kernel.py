@@ -19,7 +19,9 @@ parametric_walk follows the optimum of mu * a + (1 - mu) * b as mu runs
 from 0 to 1, from one feasible tableau (Gass & Saaty 1955): it visits only
 bases that are optimal for some mu, so the optimal vertices of the whole
 family of objectives cost a few pivots, where listing every vertex of the
-polytope would cost a combinatorial number of bases.
+polytope would cost a combinatorial number of bases. Where a later level of
+its lexicographic objective breaks a tie, it forks a copy that minimizes the
+first level alone, so one walk gives the optima of both tie rules.
 Every pivot of every routine goes through _pivot.
 Re-running any routine on the same input is bit-identical. Where one cannot
 finish (a capped pivot count) it raises SolverError rather than reporting
@@ -391,14 +393,20 @@ class Walk(NamedTuple):
     """A parametric walk over 0 = beliefs[0] < beliefs[1] < ... <
     beliefs[-1] = 1: at[k] is the optimal point at mu = beliefs[k] exactly,
     between[k] the one at every mu strictly between beliefs[k] and
-    beliefs[k + 1]. `refined` tells whether a level after the first ever
-    decided an optimum; when none did, the walk of the first level alone
-    has the same points."""
+    beliefs[k + 1]. A fork (lo, hi, x) is the optimal point x of the first
+    level alone, its ties broken by x_0, x_1, ..., at mu = lo = hi or at
+    every mu strictly between lo < hi. There is one for each stop where a
+    later level decided the optimum; at every other stop the walk's own
+    point is the first level's optimum."""
 
     beliefs: tuple[float, ...]
     at: tuple[np.ndarray, ...]
     between: tuple[np.ndarray, ...]
-    refined: bool
+    forks: tuple[tuple[float, float, np.ndarray], ...]
+
+
+class _Unbounded(Exception):
+    """A column of a parametric walk improves without bound."""
 
 
 def parametric_walk(start: Tableau, levels) -> Walk | None:
@@ -427,10 +435,26 @@ def parametric_walk(start: Tableau, levels) -> Walk | None:
       key starts with some r(mu) > 0 of slope below -_PIVOT_TOL. mu moves
       there, or to 1.
     A crossing within _PIVOT_TOL above mu counts as r(mu) = 0, so no
-    interval is shorter than that. Bland's rule cannot cycle in exact arithmetic; with
-    tolerances it can, among bases whose keys differ by round-off, so a
-    minimization ends when it meets a basis a second time, and a walk that
-    takes more than _PIVOTS_PER_LINE pivots per tableau line raises
+    interval is shorter than that.
+
+    One walk also gives the optima of the first level alone (Walk.forks).
+    At a stop where some column's key starts, beyond _PIVOT_TOL, in a later
+    level, the walk forks: a copy of its tableau minimizes the first
+    level's key alone (r(mu), its slope above mu, then the x_t rows). The
+    copy starts first-level optimal, as each key's first-level entries are
+    already lexicographically nonnegative, so it only moves within the
+    first level's optimal face. At any other stop every column's first
+    entry beyond _PIVOT_TOL is the same under both keys, so the basis is
+    already first-level optimal. A walk of the first level alone would stop
+    nowhere else: on each open interval the basis is fixed and optimal,
+    and a reduced cost affine in mu and nonnegative there is zero at one
+    point of it only if it is zero on all of it, so the first level's
+    optimal face is fixed there too.
+
+    Bland's rule cannot cycle in exact arithmetic; with tolerances it can,
+    among bases whose keys differ by round-off, so a minimization ends when
+    it meets a basis a second time, and a walk that takes more than
+    _PIVOTS_PER_LINE pivots per tableau line, forks included, raises
     SolverError."""
     m = start.basis.size
     d = levels[0][0].shape[0]
@@ -447,75 +471,90 @@ def parametric_walk(start: Tableau, levels) -> Walk | None:
     tab[m + lines :, :d] = np.eye(d)
     tab[m:, :-1][:, ~tab[:m, :-1].any(axis=0)] = 0.0         # held at zero
     tab[m:] -= tab[m:, basis] @ tab[:m]                       # priced out
-    # views: every pivot updates them in place
-    ra, rb, coords = tab[m : m + lines : 2, :-1], tab[m + 1 : m + lines : 2, :-1], tab[m + lines :, :-1]
-    at_keys = np.empty((n_levels + d, n_cols))
-    above_keys = np.empty((lines + d, n_cols))
+    max_pivots = _PIVOTS_PER_LINE * sum(tab.shape)
+    pivots = 0
 
-    def keys(mu: float, above: bool) -> tuple[np.ndarray, np.ndarray]:
+    def keys(tab: np.ndarray, mu: float, above: bool, depth: int) -> tuple[np.ndarray, np.ndarray]:
         # Round-off below _PIVOT_TOL is taken as zero, and so it is made an
         # exact zero: a pivot would scale it past the tolerance, and the
         # column that leaves could then look improving and cycle back.
         keyed = tab[m:, :-1]
         keyed[np.abs(keyed) <= _PIVOT_TOL] = 0.0
+        ra, rb = keyed[: 2 * depth : 2], keyed[1 : 2 * depth : 2]
         slope = ra - rb
         r = mu * ra + (1.0 - mu) * rb
         r[(r > 0.0) & (r + _PIVOT_TOL * slope <= 0.0)] = 0.0    # crossing within _PIVOT_TOL
+        head = (1 + above) * depth
+        rows = np.empty((head + d, n_cols))
+        rows[: head : 1 + above] = r
         if above:
-            above_keys[:lines:2] = r
-            above_keys[1:lines:2] = slope
-            above_keys[lines:] = coords
-            return above_keys, slope
-        at_keys[:n_levels] = r
-        at_keys[n_levels:] = coords
-        return at_keys, slope
+            rows[1:head:2] = slope
+        rows[head:] = keyed[lines:]
+        return rows, slope
 
-    def point() -> np.ndarray:
-        y = np.zeros(n_cols)
-        y[basis] = tab[:m, -1]
-        return y[:d] + 0.0          # no -0.0 in a reported point
-
-    def decided_by_a_later_level(rows: np.ndarray, head: int, level_rows: int) -> bool:
-        big = np.abs(rows[:level_rows]) > _PIVOT_TOL
-        first = np.where(big.any(axis=0), big.argmax(axis=0), level_rows)
-        return bool(np.any((first >= head) & (first < level_rows)))
-
-    beliefs, at, between = [], [], []
-    refined = False
-    mu, above = 0.0, False
-    max_pivots = _PIVOTS_PER_LINE * sum(tab.shape)
-    pivots = 0
-    seen: set[bytes] = set()      # bases of this minimization
-    while True:
-        rows, slope = keys(mu, above)
-        improving = _lex_negative(rows).nonzero()[0]
-        here = basis.tobytes()
-        if improving.size and here not in seen:
+    def minimize(tab: np.ndarray, basis: np.ndarray, mu: float, above: bool, depth: int):
+        """Pivot in place to the optimum of the first `depth` levels' key;
+        the final key rows and slopes."""
+        nonlocal pivots
+        seen: set[bytes] = set()
+        while True:
+            rows, slope = keys(tab, mu, above, depth)
+            improving = _lex_negative(rows).nonzero()[0]
+            here = basis.tobytes()
+            if not improving.size or here in seen:
+                return rows, slope
             seen.add(here)
             if pivots == max_pivots:
                 raise _cycling(max_pivots, m)
             entering = int(improving[0])
             leave = _leaving_row(tab, basis, entering, m)
             if leave < 0:
-                return None
+                raise _Unbounded
             _pivot(tab, leave, entering)
             basis[leave] = entering
             pivots += 1
-        elif not above:
+
+    def point(tab: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        y = np.zeros(n_cols)
+        y[basis] = tab[:m, -1]
+        return y[:d] + 0.0          # no -0.0 in a reported point
+
+    def fork(rows: np.ndarray, mu: float, above: bool) -> np.ndarray | None:
+        """The first level's optimum from a copy of the walk's tableau, or
+        None where no later level decided (the walk's point is that)."""
+        head, level_rows = 1 + above, (1 + above) * n_levels
+        big = np.abs(rows[:level_rows]) > _PIVOT_TOL
+        first = np.where(big.any(axis=0), big.argmax(axis=0), level_rows)
+        if not np.any((first >= head) & (first < level_rows)):
+            return None
+        copy, copy_basis = tab.copy(), basis.copy()
+        minimize(copy, copy_basis, mu, above, 1)
+        return point(copy, copy_basis)
+
+    beliefs, at, between, forks = [], [], [], []
+    mu = 0.0
+    try:
+        while True:
+            rows, _ = minimize(tab, basis, mu, False, n_levels)
             beliefs.append(mu)
-            at.append(point())
-            refined = refined or decided_by_a_later_level(rows, 1, n_levels)
+            at.append(point(tab, basis))
+            if (x := fork(rows, mu, False)) is not None:
+                forks.append((mu, mu, x))
             if mu >= 1.0:
-                return Walk(tuple(beliefs), tuple(at), tuple(between), refined)
-            above, seen = True, set()
-        else:
-            between.append(point())
-            refined = refined or decided_by_a_later_level(rows, 2, lines)
+                return Walk(tuple(beliefs), tuple(at), tuple(between), tuple(forks))
+            rows, slope = minimize(tab, basis, mu, True, n_levels)
+            between.append(point(tab, basis))
+            x = fork(rows, mu, True)
             big = np.abs(rows) > _PIVOT_TOL
             first = big.argmax(axis=0)
             cols = np.arange(n_cols)
             level = np.minimum(first // 2, n_levels - 1)
             ending = (big.any(axis=0) & (first < lines) & (first % 2 == 0) & (rows[first, cols] > 0.0)
                       & (slope[level, cols] < -_PIVOT_TOL))
+            rb = tab[m + 1 : m + lines : 2, :-1]
             cross = -rb[level[ending], cols[ending]] / slope[level[ending], cols[ending]]
-            mu, above, seen = min(float(np.min(cross, initial=np.inf)), 1.0), False, set()
+            lo, mu = mu, min(float(np.min(cross, initial=np.inf)), 1.0)
+            if x is not None:
+                forks.append((lo, mu, x))
+    except _Unbounded:
+        return None

@@ -20,23 +20,20 @@ rule everywhere: the first candidate, in order, whose cost is within
 _OPTIMAL_TOL of the least wins (the first response pair in g2, the first
 response per state in g1, the lexicographically smallest optimal vertex
 within a pair). Every reported scheme is that vertex, so reruns are
-reproducible bit for bit. Two per-table caches hold what no belief
-changes. The simplex's phase one of each response pair's LP reads only the
-pair's constraints, so it runs once per polytope (_pair_phase_ones); g2 at
-any belief runs only phase two from a copy of each feasible pair's tableau,
-and its lex-min goes on from the winning pair's phase-two tableau. The
-vertex profiles (_pair_profiles) hold, per response pair that can be
+reproducible bit for bit. One per-table cache holds what no belief changes:
+the vertex profiles (_pair_profiles), per response pair that can be
 principal-optimal, only the vertices that a tie rule picks at some belief.
-Parametric walks of the belief from 0 to 1 (lp_kernel.parametric_walk) find
-them from the same phase ones: one breaks the principal's ties by the
-agent's least cost first, as g3 does, and one, run only where the agent
-broke a tie, by the lex-min rule, as g2 does. A pair whose least possible
-principal cost lies above the walked pairs' lower envelope by a margin at
-every belief is not walked, and a walked pair whose vertices all lie that
-far above it is dropped; the kept profiles are the ones every pair's walks
-give. No vertex is enumerated, so the size of a table limits nothing but
-time. value_curves, g3 and g4 read only these profiles: once they are
-built, g3 at an interior prior takes no pivot.
+One parametric walk of the belief from 0 to 1 (lp_kernel.parametric_walk)
+per pair finds them from the phase one of its polytope: it breaks the
+principal's ties by the agent's least cost first, as g3 does, and where the
+agent broke a tie it forks to break them by the lex-min rule, as g2 does. A
+pair whose least possible principal cost lies above the walked pairs' lower
+envelope by a margin at every belief is neither walked nor given a phase
+one, and a walked pair whose vertices all lie that far above it is dropped;
+the kept profiles are the ones every pair's walks give. No vertex is
+enumerated, so the size of a table limits nothing but time. g2, the value
+curves, g3 and g4 read only these profiles: once they are built, g2 at any
+belief and g3 at any prior take no pivot. Only g1 solves LPs per call.
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ from incentive_games.belief_engine import (
 from incentive_games.lp_kernel import (
     Polytope,
     SolverError,
-    Tableau,
     lexicographic_descent,
     parametric_walk,
     phase_one,
@@ -352,56 +348,32 @@ def solve_g1(table: CostTable, prior) -> EquilibriumReport:
     )
 
 
-def _pair_objective(table: CostTable, i: int, j: int, mu: float) -> np.ndarray:
-    m = table.m
-    c = np.zeros(m * table.n)
-    c[i * m : (i + 1) * m] += mu * table.cp[0][:, i]
-    c[j * m : (j + 1) * m] += (1.0 - mu) * table.cp[1][:, j]
-    return c
-
-
 def solve_g2(table: CostTable, belief) -> EquilibriumReport:
     """Bayesian game: one state-independent scheme; the response pair with
     the cheapest induced (feasible) scheme wins, the first pair within
-    _OPTIMAL_TOL of the least on ties. Each pair's LP starts at phase two
-    from the table's cached phase-one tableau."""
+    _OPTIMAL_TOL of the least on ties, and within it the lex-smallest
+    vertex within _OPTIMAL_TOL of the pair's least. It is one evaluation of
+    the cached vertex profiles by value_curves' rule, so the principal cost
+    is the g2 value jp2 and the agent cost ja2, bit for bit."""
     mu = as_probability(belief)
-    m, n = table.m, table.n
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    objectives = [_pair_objective(table, i, j, mu) for i, j in pairs]
-    best, x = _first_optimal_lexmin(objectives, _pair_phase_ones(table), "response pair")
-    i, j = pairs[best]
-    gamma = _to_matrix(x, m, n)
-    outcomes = []
-    for k, rec in enumerate((i, j)):
-        pc = float(gamma[:, rec] @ table.cp[k][:, rec])
-        ac = float(gamma[:, rec] @ table.ca[k][:, rec])
-        outcomes.append(StateOutcome(rec, pc, ac))
-    jp = mu * outcomes[0].principal_cost + (1.0 - mu) * outcomes[1].principal_cost
-    ja = mu * outcomes[0].agent_cost + (1.0 - mu) * outcomes[1].agent_cost
+    profiles = _pair_profiles(table)
+    jp2, ja2, chosen, vertex = _curves_from_profiles(profiles, np.array([mu]))
+    prof, v = profiles[chosen[0]], vertex[0]
+    outcomes = tuple(StateOutcome(rec, float(prof.principal[v, k]), float(prof.agent[v, k]))
+                     for k, rec in enumerate(prof.group))
     return EquilibriumReport(
-        scheme=IncentiveScheme(gamma),
-        agent_actions=(i, j),
-        principal_cost=float(jp),
-        agent_cost=float(ja),
-        per_state=tuple(outcomes),
+        scheme=IncentiveScheme(prof.schemes[v]),
+        agent_actions=prof.group,
+        principal_cost=float(jp2[0]),
+        agent_cost=float(ja2[0]),
+        per_state=outcomes,
         belief=mu,
     )
 
 
 # ---------------------------------------------------------------------------
-# per-table caches: phase-one tableaux, vertex profiles and value curves
+# per-table cache: vertex profiles and value curves
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=128)
-def _pair_phase_ones(table: CostTable) -> tuple[Tableau | None, ...]:
-    """Phase one of each response pair's LP, in pair order (None for an
-    empty pair polytope). Phase one reads only the pair's constraints, never
-    the belief, so it runs once per polytope and solve_g2 at every belief
-    starts at phase two. Phase two works on a copy of a read-only tableau,
-    so every later pivot is the one a fresh two-phase solve takes."""
-    return tuple(phase_one(_pair_polytope(table, i, j)) for i in range(table.n) for j in range(table.n))
 
 
 @dataclass(frozen=True)
@@ -441,10 +413,10 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _profile(table: CostTable, group: tuple[int, int], points: list[np.ndarray]) -> _PairProfile | None:
-    """A pair's profile from its walks' points: sorted lexicographically by
-    the stacked-columns point under the "same vertex" rounding
-    (_same_vertex), equal ones kept once, so the first optimal one is the
-    lex-min; None when no point is a scheme."""
+    """A pair's profile from its walk's and forks' points: sorted
+    lexicographically by the stacked-columns point under the "same vertex"
+    rounding (_same_vertex), equal ones kept once, so the first optimal one
+    is the lex-min; None when no point is a scheme."""
     m, n = table.m, table.n
     i, j = group
     verts = np.array(points).reshape(-1, m * n)
@@ -462,84 +434,55 @@ def _profile(table: CostTable, group: tuple[int, int], points: list[np.ndarray])
     return _PairProfile(group, np.ascontiguousarray(mats), p, a)
 
 
-def _walked_profiles(table: CostTable, margin: float) -> tuple[_PairProfile, ...] | None:
-    """_pair_profiles with pairs pruned at `margin` (np.inf prunes none);
-    None when a principal-only walk fails on round-off after its pair's
-    first-walk lines have pruned others."""
-    n = table.n
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    starts = _pair_phase_ones(table)
-    # a scheme column is a distribution, so no vertex of pair (i, j) costs
-    # the principal less than the least entry of its response column
-    bound = np.stack([np.repeat(table.cp[0].min(axis=0), n), np.tile(table.cp[1].min(axis=0), n)], axis=1)
-    first, kept = {}, np.empty((0, 2))
-    for k in np.argsort(bound.sum(axis=1), kind="stable"):
-        if starts[k] is None or _dominated(bound[k : k + 1], kept, margin)[0]:
-            continue
-        i, j = pairs[k]
-        levels = tuple((_state_cost(c, 0, i), _state_cost(c, 1, j)) for c in (table.cp, table.ca))
-        walk = parametric_walk(starts[k], levels)
-        if walk is None:        # round-off made a bounded column unbounded
-            continue
-        prof = _profile(table, pairs[k], [*walk.at, *walk.between])
-        first[k] = levels, walk, prof
-        if prof is not None:
-            kept = np.vstack([kept, prof.principal])
-    profiles = []
-    for k in sorted(first):
-        levels, walk, prof = first[k]
-        if _dominated(bound[k : k + 1] if prof is None else prof.principal, kept, margin).all():
-            continue
-        if walk.refined:
-            second = parametric_walk(starts[k], levels[:1])
-            if second is None:
-                if np.isfinite(margin):
-                    return None
-                continue
-            prof = _profile(table, pairs[k], [*walk.at, *walk.between, *second.at, *second.between])
-        if prof is not None:
-            profiles.append(prof)
-    return tuple(profiles)
-
-
 @lru_cache(maxsize=128)
 def _pair_profiles(table: CostTable) -> tuple[_PairProfile, ...]:
     """Per response pair that can be principal-optimal somewhere, in pair
     order, the vertices that a tie rule picks at some belief, with their
     per-state costs (_profile).
 
-    Two parametric walks of the belief from 0 to 1 (lp_kernel.parametric_walk)
-    find a pair's vertices, each from its cached phase one
-    (_pair_phase_ones), so no phase one runs here. The first breaks the
-    principal's ties by the agent's least cost and then the lex-min rule,
-    which gives g3's recommended scheme; the second, principal-only, breaks
-    them by the lex-min rule alone, which gives solve_g2's scheme. It runs
-    only when the agent broke a tie in the first (Walk.refined), since it
-    would otherwise find the same points.
+    One parametric walk of the belief from 0 to 1 (lp_kernel.parametric_walk)
+    finds a pair's vertices from the phase one of its polytope. Its levels
+    break the principal's ties by the agent's least cost and then the
+    lex-min rule, which gives g3's recommended scheme; where the agent broke
+    a tie the walk forks, breaking them by the lex-min rule alone
+    (Walk.forks), which gives g2's scheme. The profile holds the walk's
+    points and its forks'.
 
     Most pairs can be skipped. A vertex's state-k principal cost is a
     distribution dotted with the response column, so the line L = (min
     cp0[:, i], min cp1[:, j]) lies below every vertex line of pair (i, j).
-    The first walks run in increasing L(0) + L(1) order (ties in pair
+    The pairs are walked in increasing L(0) + L(1) order (ties in pair
     order), and a pair whose L lies above the lower envelope of the walked
     vertices' lines by more than a margin at every belief (_dominated) is
-    not walked. After the first walks a pair is dropped when each of its
-    own lines lies above that envelope by the margin; the second walks run
-    only for the refined pairs left. This is sound: at every belief the
-    envelope is met by a vertex of a kept pair (a dropped pair's lines all
-    lie above it), so jp2 is at most the envelope, and a pruned pair's
-    vertices (a second walk's too, as they are optimal in the pair where
-    they are found) lie above it by the margin, far more than
-    _OPTIMAL_TOL, so no tie rule could pick them. The margin, 10 * BEST_RESPONSE_TOL * (1 +
-    max |cp|), is above a vertex cost's round-off. So every kept profile is
-    the one an unpruned build gives, and value_curves, solve_g3 and
-    solve_g4 read the same numbers. Should a second walk fail on round-off
-    (an unbounded column), its pair has no profile and its lines may have
-    pruned others, so the build is redone unpruned."""
+    neither walked nor given a phase one. After the walks a pair is dropped
+    when each of its own lines lies above that envelope by the margin. This
+    is sound: at every belief the envelope is met by a vertex of a kept pair
+    (a dropped pair's lines all lie above it), so jp2 is at most the
+    envelope, and a pruned pair's vertices lie above it by the margin, far
+    more than _OPTIMAL_TOL, so no tie rule could pick them. The margin, 10 *
+    BEST_RESPONSE_TOL * (1 + max |cp|), is above a vertex cost's round-off.
+    A pair whose walk fails on round-off (an unbounded column) gets no
+    profile and adds no line to the envelope, so it prunes no other pair."""
+    n = table.n
     margin = 10 * BEST_RESPONSE_TOL * (1.0 + np.abs(table.cp).max())
-    profiles = _walked_profiles(table, margin)
-    if profiles is None:
-        profiles = _walked_profiles(table, np.inf)
+    # a scheme column is a distribution, so no vertex of pair (i, j) costs
+    # the principal less than the least entry of its response column
+    bound = np.stack([np.repeat(table.cp[0].min(axis=0), n), np.tile(table.cp[1].min(axis=0), n)], axis=1)
+    walked, kept = {}, np.empty((0, 2))
+    for k in np.argsort(bound.sum(axis=1), kind="stable"):
+        if _dominated(bound[k : k + 1], kept, margin)[0]:
+            continue
+        i, j = divmod(int(k), n)
+        start = phase_one(_pair_polytope(table, i, j))
+        levels = tuple((_state_cost(c, 0, i), _state_cost(c, 1, j)) for c in (table.cp, table.ca))
+        walk = None if start is None else parametric_walk(start, levels)
+        if walk is None:        # an empty polytope, or round-off made a bounded column unbounded
+            continue
+        prof = _profile(table, (i, j), [*walk.at, *walk.between, *(x for _, _, x in walk.forks)])
+        if prof is not None:
+            walked[k] = prof
+            kept = np.vstack([kept, prof.principal])
+    profiles = tuple(walked[k] for k in sorted(walked) if not _dominated(walked[k].principal, kept, margin).all())
     if not profiles:
         raise SolverError("no inducible response pair")
     return profiles
@@ -547,25 +490,26 @@ def _pair_profiles(table: CostTable) -> tuple[_PairProfile, ...]:
 
 def _curves_from_profiles(
     profiles: tuple[_PairProfile, ...], beliefs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Principal and agent g2 value curves over a belief grid, replicating
-    the solver's tie-breaks (first pair, then lex-smallest vertex)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The g2 choice over a belief grid, by the solver's tie rules (the
+    first pair within _OPTIMAL_TOL of the least, then its lex-smallest
+    vertex within _OPTIMAL_TOL of the pair's least): the principal value
+    jp2 (the least), the agent cost ja2 at the chosen vertex, and per
+    belief the index of the chosen pair in `profiles` and of its vertex."""
     mu = beliefs[None, :]
-    pair_vals = []
-    pair_agent = []
+    pair_vals, pair_agent, pair_first = [], [], []
     for prof in profiles:
         v = prof.principal[:, :1] @ mu + prof.principal[:, 1:] @ (1.0 - mu)
         vmin = v.min(axis=0)
         first = np.argmax(v <= vmin + _OPTIMAL_TOL, axis=0)  # lex-smallest vertex
-        a = prof.agent[first, 0] * beliefs + prof.agent[first, 1] * (1.0 - beliefs)
         pair_vals.append(vmin)
-        pair_agent.append(a)
+        pair_agent.append(prof.agent[first, 0] * beliefs + prof.agent[first, 1] * (1.0 - beliefs))
+        pair_first.append(first)
     vals = np.vstack(pair_vals)
-    agents = np.vstack(pair_agent)
     jp2 = vals.min(axis=0)
     chosen = np.argmax(vals <= jp2 + _OPTIMAL_TOL, axis=0)   # first pair in lex order
-    ja2 = agents[chosen, np.arange(beliefs.shape[0])]
-    return jp2, ja2
+    cols = np.arange(beliefs.shape[0])
+    return jp2, np.vstack(pair_agent)[chosen, cols], chosen, np.vstack(pair_first)[chosen, cols]
 
 
 def value_curves(table: CostTable, grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -575,7 +519,7 @@ def value_curves(table: CostTable, grid_size: int) -> tuple[np.ndarray, np.ndarr
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     beliefs = np.linspace(0.0, 1.0, grid_size)
-    jp2, ja2 = _curves_from_profiles(_pair_profiles(table), beliefs)
+    jp2, ja2, _, _ = _curves_from_profiles(_pair_profiles(table), beliefs)
     return beliefs, jp2, ja2
 
 
@@ -640,7 +584,7 @@ def solve_g3(table: CostTable, prior) -> PersuasionReport:
       is principal-optimal there and whose agent cost is within
       _OPTIMAL_TOL of the least.
     - At mu = 0 or 1 no split is possible and g3 is g2: the report is
-      solve_g2's scheme. Elsewhere g3 takes no pivot beyond building the
+      solve_g2's scheme. At any prior g3 takes no pivot beyond building the
       cached profiles.
     """
     mu = as_probability(prior)

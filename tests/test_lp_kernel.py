@@ -430,6 +430,37 @@ def test_parametric_walk_equals_the_enumeration_oracle(lp, seed, two_levels):
     for mu, x in [*zip(walk.beliefs, walk.at), *zip(mids, walk.between)]:
         want = _lex_optimum(verts, [mu * a + (1.0 - mu) * b for a, b in levels])
         assert np.max(np.abs(x - want)) <= 1e-9
+    # a fork is the first level's optimum at its stop: at mu for a stop at
+    # a breakpoint, inside the interval for one between breakpoints
+    stops = [*((mu, mu) for mu in walk.beliefs), *zip(walk.beliefs, walk.beliefs[1:])]
+    assert len(walk.forks) <= len(stops) * two_levels
+    for lo, hi, x in walk.forks:
+        assert (lo, hi) in stops
+        mu = 0.5 * (lo + hi)
+        a, b = levels[0]
+        assert np.max(np.abs(x - _lex_optimum(verts, [mu * a + (1.0 - mu) * b]))) <= 1e-9
+
+
+def test_a_fork_is_the_first_levels_lex_min_and_its_failure_fails_the_walk(monkeypatch):
+    # On the simplex x0 + x1 + x2 = 1 the first level ties every vertex and
+    # the second picks x0; the first level alone takes the lex-min, x2.
+    region = Polytope(dim=3, equality_matrix=[[1.0, 1.0, 1.0]], equality_rhs=[1.0])
+    start = phase_one(region)
+    levels = [(np.zeros(3), np.zeros(3)), (np.array([-1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]))]
+    walk = parametric_walk(start, levels)
+    assert walk.beliefs == (0.0, 1.0)
+    assert [x.tolist() for x in (*walk.at, *walk.between)] == [[1.0, 0.0, 0.0]] * 3
+    assert [(lo, hi, x.tolist()) for lo, hi, x in walk.forks] == [
+        (0.0, 0.0, [0.0, 0.0, 1.0]), (0.0, 1.0, [0.0, 0.0, 1.0]), (1.0, 1.0, [0.0, 0.0, 1.0])]
+    first_level = parametric_walk(start, levels[:1])
+    assert first_level.forks == ()
+    assert [x.tolist() for x in (*first_level.at, *first_level.between)] == [[0.0, 0.0, 1.0]] * 3
+    # Phase one ends at x0, so the walk itself takes no pivot and only its
+    # forks do. Should a fork's ratio test find no row, the walk reports an
+    # unbounded column.
+    monkeypatch.setattr(lp_kernel, "_leaving_row", lambda *args: -1)
+    assert parametric_walk(start, levels[1:]).at[0].tolist() == [1.0, 0.0, 0.0]
+    assert parametric_walk(start, levels) is None
 
 
 def test_parametric_walk_breaks_ties_at_zero_toward_a():

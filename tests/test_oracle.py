@@ -309,6 +309,8 @@ def test_mc_is_reproducible():
 def test_mc_rejects_unknown_game():
     with pytest.raises(ValueError):
         oracle_qg_montecarlo(REF, "G3")
+    with pytest.raises(ValueError, match="at least 2"):
+        oracle_qg_montecarlo(REF, "G1", n_samples=1)
     with pytest.raises(ValueError):
         oracle_qg_montecarlo(QGParams(beta=1.0, z0=0.0, sigma0_sq=1.0), "G4")
 
@@ -335,6 +337,13 @@ def _traced_peak(run) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("game, draws", [("G1", 1), ("G4", 2)])
+def test_mc_memory_is_the_draws_and_one_block(game, draws):
+    """The playout runs in blocks, so beyond the 8 MB of each 1e6-sample
+    draw the peak holds one block's temporaries of 128 kB each."""
+    assert _traced_peak(lambda: oracle_qg_montecarlo(REF, game)) <= draws * 8e6 + 2e6
 
 
 def test_verify_qg_memory_is_three_sample_arrays():
