@@ -12,7 +12,7 @@ Run: python3 demos/price_of_ignorance.py
 
 import numpy as np
 
-from incentive_games.matrix_games import principal_value_curve, solve_g1, solve_g2
+from incentive_games.matrix_games import solve_g1, solve_g2, value_curves
 from incentive_games.scenarios import load_scenario
 
 scenario = load_scenario("scenarioA")
@@ -33,7 +33,7 @@ print()
 
 # The informed cost is linear in the prior; the uninformed one is a minimum
 # of finitely many affine functions, hence concave. Sample both.
-beliefs, curve = principal_value_curve(table, 21)
+beliefs, curve = value_curves(table, 21)[:2]
 base = solve_g1(table, 0.5)
 v1, v2 = (o.principal_cost for o in base.per_state)
 line = beliefs * v1 + (1.0 - beliefs) * v2

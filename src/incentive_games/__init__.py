@@ -18,15 +18,7 @@ from incentive_games.belief_engine import (
     lower_hull_indices,
     tilde_entropy,
 )
-from incentive_games.lp_kernel import (
-    LinearProgram,
-    LpSolution,
-    LpStatus,
-    Polytope,
-    lexicographic_argmin,
-    parametric_walk,
-    solve_lp,
-)
+from incentive_games.lp_kernel import Polytope, parametric_walk
 from incentive_games.matrix_games import (
     AcquisitionReport,
     CostTable,
@@ -35,7 +27,6 @@ from incentive_games.matrix_games import (
     PersuasionReport,
     SolverError,
     agent_value_curve,
-    principal_value_curve,
     solve_g1,
     solve_g2,
     solve_g3,
@@ -71,9 +62,6 @@ __all__ = [
     "CostTable",
     "EquilibriumReport",
     "IncentiveScheme",
-    "LinearProgram",
-    "LpSolution",
-    "LpStatus",
     "OracleReport",
     "PersuasionReport",
     "Polytope",
@@ -89,14 +77,13 @@ __all__ = [
     "enumerate_bounded_vertices",
     "enumerate_vertices",
     "envelope_from_samples",
-    "lexicographic_argmin",
+    "load_scenario",
     "lower_hull_indices",
     "oracle_envelope_by_pairs",
     "oracle_g2_by_enumeration",
     "oracle_g3_by_obedience",
     "oracle_qg_montecarlo",
     "parametric_walk",
-    "principal_value_curve",
     "qg_g1",
     "qg_g2",
     "qg_g3",
@@ -106,7 +93,6 @@ __all__ = [
     "solve_g2",
     "solve_g3",
     "solve_g4",
-    "solve_lp",
     "tilde_entropy",
     "value_curves",
     "verify_matrix",

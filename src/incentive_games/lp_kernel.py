@@ -10,11 +10,12 @@ are separate routines: phase one reads only the constraints and returns a
 read-only feasible tableau, its artificial columns and redundant rows
 deleted, and phase two minimizes an objective from a copy of it, every
 column a candidate. So a caller that solves many objectives over one
-polytope runs phase one once per polytope; solve_lp and lexicographic_argmin
-are the two phases run back to back. The lexicographic minimum goes on from
-the final tableau of phase two: a nonbasic column with positive reduced cost
-is zero at every optimum, so it is dropped, and no pinned LP is solved
-again.
+polytope runs phase one once per polytope, and a caller that solves one LP
+runs phase one and then phase two. phase_one returns None for an empty
+region and phase_two None for an unbounded objective; there is no status
+type. The lexicographic minimum (lexicographic_descent) goes on from the
+final tableau of phase two: a nonbasic column with positive reduced cost is
+zero at every optimum, so it is dropped, and no pinned LP is solved again.
 parametric_walk follows the optimum of mu * a + (1 - mu) * b as mu runs
 from 0 to 1, from one feasible tableau (Gass & Saaty 1955): it visits only
 bases that are optimal for some mu, so the optimal vertices of the whole
@@ -33,7 +34,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -49,12 +49,6 @@ _PIVOTS_PER_LINE = 10
 class SolverError(RuntimeError):
     """The solver could not answer a valid input: an internal invariant
     failed or a capacity limit was hit (distinct from input validation)."""
-
-
-class LpStatus(Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 def _as_matrix(a, cols: int, name: str) -> np.ndarray:
@@ -79,55 +73,12 @@ def _as_vector(b, rows: int, name: str) -> np.ndarray:
     return v
 
 
-def _set_constraints(obj, d: int) -> None:
-    """Validate and normalize, in place, the constraint fields that
-    LinearProgram and Polytope share, for `d` variables."""
-    a = _as_matrix(obj.constraint_matrix, d, "constraint_matrix")
-    e = _as_matrix(obj.equality_matrix, d, "equality_matrix")
-    object.__setattr__(obj, "constraint_matrix", a)
-    object.__setattr__(obj, "rhs", _as_vector(obj.rhs, a.shape[0], "rhs"))
-    object.__setattr__(obj, "equality_matrix", e)
-    object.__setattr__(obj, "equality_rhs", _as_vector(obj.equality_rhs, e.shape[0], "equality_rhs"))
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """min objective @ x  s.t.  constraint_matrix @ x <= rhs,
-    equality_matrix @ x = equality_rhs, x >= 0."""
-
-    objective: np.ndarray
-    constraint_matrix: np.ndarray | None = None
-    rhs: np.ndarray | None = None
-    equality_matrix: np.ndarray | None = None
-    equality_rhs: np.ndarray | None = None
-
-    def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("objective must be finite")
-        object.__setattr__(self, "objective", c)
-        _set_constraints(self, c.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return self.objective.shape[0]
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    status: LpStatus
-    point: np.ndarray | None = None
-    value: float | None = None
-
-    @property
-    def optimal(self) -> bool:
-        return self.status is LpStatus.OPTIMAL
-
-
 @dataclass(frozen=True)
 class Polytope:
-    """A bounded feasible region in x >= 0; same constraint data as
-    LinearProgram minus the objective."""
+    """The region constraint_matrix @ x <= rhs, equality_matrix @ x =
+    equality_rhs, x >= 0 in `dim` variables: an LP's constraints, its
+    objective going to phase two on its own. Missing rows are empty; every
+    array is checked for shape and finiteness."""
 
     dim: int
     constraint_matrix: np.ndarray | None = None
@@ -139,22 +90,18 @@ class Polytope:
         d = int(self.dim)
         if d <= 0:
             raise ValueError("dim must be positive")
+        a = _as_matrix(self.constraint_matrix, d, "constraint_matrix")
+        e = _as_matrix(self.equality_matrix, d, "equality_matrix")
         object.__setattr__(self, "dim", d)
-        _set_constraints(self, d)
+        object.__setattr__(self, "constraint_matrix", a)
+        object.__setattr__(self, "rhs", _as_vector(self.rhs, a.shape[0], "rhs"))
+        object.__setattr__(self, "equality_matrix", e)
+        object.__setattr__(self, "equality_rhs", _as_vector(self.equality_rhs, e.shape[0], "equality_rhs"))
 
     @property
     def bounds(self) -> tuple[tuple[float, float], ...]:
         """Per-variable (lower, upper) bounds: always x >= 0."""
         return ((0.0, math.inf),) * self.dim
-
-    def lp(self, objective) -> LinearProgram:
-        return LinearProgram(
-            objective=objective,
-            constraint_matrix=self.constraint_matrix,
-            rhs=self.rhs,
-            equality_matrix=self.equality_matrix,
-            equality_rhs=self.equality_rhs,
-        )
 
     def contains(self, x: np.ndarray) -> bool | np.ndarray:
         """Whether a point (d,) lies in the polytope within FEAS_TOL; for a
@@ -251,18 +198,18 @@ class Tableau(NamedTuple):
     array: np.ndarray
     basis: np.ndarray
 
-    def solution(self, objective: np.ndarray) -> LpSolution:
-        """The basic point of this tableau and its objective value."""
+    def solution(self, dim: int) -> np.ndarray:
+        """The basic point of this tableau in the region's `dim` variables
+        (its slack columns dropped)."""
         y = np.zeros(self.array.shape[1] - 1)
         y[self.basis] = self.array[:-1, -1]
-        x = y[: objective.shape[0]] + 0.0     # no -0.0 in the reported point
-        return LpSolution(LpStatus.OPTIMAL, x, float(objective @ x))
+        return y[:dim] + 0.0     # no -0.0 in the reported point
 
 
-def phase_one(region: LinearProgram | Polytope) -> Tableau | None:
+def phase_one(region: Polytope) -> Tableau | None:
     """Phase one of the two-phase simplex (Bland's rule) over the constraints
-    of `region`; an objective is never read. Returns a feasible basis and its
-    tableau, or None when the constraints are infeasible.
+    of `region`. Returns a feasible basis and its tableau, or None when the
+    constraints are infeasible.
 
     An artificial column starts each row that no slack starts. Once the
     artificials' sum is minimized to zero, those still basic are driven out
@@ -327,16 +274,7 @@ def phase_two(objective: np.ndarray, start: Tableau) -> Tableau | None:
     return Tableau(tab, basis) if _bland_simplex(tab, basis) else None
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Two-phase dense simplex (Bland's rule). Deterministic; minimization."""
-    start = phase_one(lp)
-    if start is None:
-        return LpSolution(LpStatus.INFEASIBLE)
-    optimum = phase_two(lp.objective, start)
-    return LpSolution(LpStatus.UNBOUNDED) if optimum is None else optimum.solution(lp.objective)
-
-
-def lexicographic_descent(objective: np.ndarray, optimum: Tableau) -> LpSolution:
+def lexicographic_descent(objective: np.ndarray, optimum: Tableau) -> np.ndarray:
     """The lexicographically smallest optimal point (the lex-min optimal
     vertex), continued in place on the final phase-two tableau of
     `objective` (Isermann 1982).
@@ -361,19 +299,7 @@ def lexicographic_descent(objective: np.ndarray, optimum: Tableau) -> LpSolution
         tab[-1] = -tab[:-1][basis == t].sum(axis=0)     # objective x_t, priced out
         tab[-1, t] += 1.0
         _bland_simplex(tab, basis)      # x_t >= 0: never unbounded
-    return optimum.solution(objective)
-
-
-def lexicographic_argmin(lp: LinearProgram) -> LpSolution:
-    """The lexicographically smallest optimal point of `lp`: phase one, phase
-    two, then lexicographic_descent on the optimal tableau."""
-    start = phase_one(lp)
-    if start is None:
-        return LpSolution(LpStatus.INFEASIBLE)
-    optimum = phase_two(lp.objective, start)
-    if optimum is None:
-        return LpSolution(LpStatus.UNBOUNDED)
-    return lexicographic_descent(lp.objective, optimum)
+    return optimum.solution(objective.shape[0])
 
 
 # ---------------------------------------------------------------------------

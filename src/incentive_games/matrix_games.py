@@ -306,11 +306,12 @@ def _first_optimal_lexmin(objectives: list[np.ndarray], starts, what: str) -> tu
     of the least (the principal's tie rule over LP values) and its
     lex-min optimal point, continued on its phase-two tableau."""
     optima = [None if s is None else phase_two(c, s) for c, s in zip(objectives, starts)]
-    values = np.array([np.inf if t is None else t.solution(c).value for c, t in zip(objectives, optima)])
+    values = np.array([np.inf if t is None else float(c @ t.solution(c.shape[0]))
+                       for c, t in zip(objectives, optima)])
     if np.isinf(values.min()):
         raise SolverError(f"no inducible {what}")
     best = int(np.argmax(values <= values.min() + _OPTIMAL_TOL))
-    return best, lexicographic_descent(objectives[best], optima[best]).point
+    return best, lexicographic_descent(objectives[best], optima[best])
 
 
 def solve_g1(table: CostTable, prior) -> EquilibriumReport:
@@ -521,12 +522,6 @@ def value_curves(table: CostTable, grid_size: int) -> tuple[np.ndarray, np.ndarr
     beliefs = np.linspace(0.0, 1.0, grid_size)
     jp2, ja2, _, _ = _curves_from_profiles(_pair_profiles(table), beliefs)
     return beliefs, jp2, ja2
-
-
-def principal_value_curve(table: CostTable, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled belief -> g2 principal value. Piecewise affine and concave."""
-    beliefs, jp2, _ = value_curves(table, grid_size)
-    return beliefs, jp2
 
 
 def agent_value_curve(table: CostTable, grid_size: int) -> tuple[np.ndarray, np.ndarray]:

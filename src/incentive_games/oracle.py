@@ -18,9 +18,12 @@ polytopes in fixed-size batches, tests them with one feasibility rule
 (Polytope.contains) and deduplicates each polytope's in basis order; a
 polytope's vertices do not depend on the others or on the batch size.
 enumerate_vertices first checks one polytope's boundedness and feasibility
-with one LP, then runs the core on it alone. Where the enumerator cannot
-finish (more than _MAX_BASES bases) it raises SolverError, before any basis
-is built.
+with one LP, then runs the core on it alone. A table's pair polytopes go
+through one batched pass (_pair_vertices): one phase one per pair tells the
+empty ones, and the rest are enumerated together. `verify` and the g2 and
+obedience oracles read its vertices in pair and basis order, and collect_xi
+reads them as sorted schemes. Where the enumerator cannot finish (more than
+_MAX_BASES bases) it raises SolverError, before any LP or basis.
 
 `verify_qg` takes the playouts' expectation by Gauss–Hermite quadrature, so
 it draws nothing and needs no seed. `oracle_qg_montecarlo` averages the same
@@ -50,12 +53,10 @@ from incentive_games.belief_engine import (
 )
 from incentive_games.lp_kernel import (
     FEAS_TOL,
-    LinearProgram,
-    LpStatus,
     Polytope,
     SolverError,
     phase_one,
-    solve_lp,
+    phase_two,
 )
 from incentive_games.matrix_games import (
     CostTable,
@@ -118,10 +119,12 @@ def _bounded_and_feasible(p: Polytope) -> bool:
     finite maximum bounds each x_t; conversely an unbounded x_t makes the LP
     unbounded. Its phase one decides feasibility.
     """
-    sol = solve_lp(p.lp(-np.ones(p.dim)))
-    if sol.status is LpStatus.UNBOUNDED:
+    start = phase_one(p)
+    if start is None:
+        return False
+    if phase_two(-np.ones(p.dim), start) is None:
         raise ValueError("polytope is unbounded")
-    return sol.status is LpStatus.OPTIMAL
+    return True
 
 
 def enumerate_vertices(p: Polytope) -> list[np.ndarray]:
@@ -288,20 +291,30 @@ def _pair_polytopes(table: CostTable) -> dict[tuple[int, int], Polytope]:
     return out
 
 
-def collect_xi(table: CostTable) -> XiCollection:
-    """Every vertex of every response-pair polytope as a scheme, each group
-    sorted by _scheme_key. The pair polytopes share their shape, so a table
-    too large to enumerate fails first, before any LP or basis. One phase
-    one per pair then tells the empty ones; every pair polytope is bounded
-    (each variable lies in a column-sum row with x >= 0), so the nonempty
-    ones go through enumerate_bounded_vertices together."""
+def _pair_vertices(table: CostTable) -> dict[tuple[int, int], list[np.ndarray]]:
+    """The raw vertices of every response-pair polytope, in pair order and,
+    within a pair, in basis order ([] for an empty pair). The pair polytopes
+    share their shape, so a table too large to enumerate fails first, before
+    any LP or basis. One phase one per pair then tells the empty ones; every
+    pair polytope is bounded (each variable lies in a column-sum row with
+    x >= 0), so the nonempty ones go through enumerate_bounded_vertices
+    together, and each gets the vertices its own enumerate_vertices call
+    would."""
     polytopes = _pair_polytopes(table)
     enumeration_setup(polytopes[0, 0])
     nonempty = [pair for pair, p in polytopes.items() if phase_one(p) is not None]
-    groups = {pair: () for pair in polytopes}
-    for pair, verts in zip(nonempty, enumerate_bounded_vertices([polytopes[pair] for pair in nonempty])):
-        groups[pair] = tuple(sorted((_to_matrix(v, table.m, table.n) for v in verts), key=_scheme_key))
-    return XiCollection(groups=groups)
+    out = {pair: [] for pair in polytopes}
+    out.update(zip(nonempty, enumerate_bounded_vertices([polytopes[pair] for pair in nonempty])))
+    return out
+
+
+def collect_xi(table: CostTable) -> XiCollection:
+    """Every vertex of every response-pair polytope as a scheme, each group
+    sorted by _scheme_key (_pair_vertices)."""
+    return XiCollection(groups={
+        pair: tuple(sorted((_to_matrix(v, table.m, table.n) for v in verts), key=_scheme_key))
+        for pair, verts in _pair_vertices(table).items()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +336,12 @@ def _favorable_evaluation(table: CostTable, scheme: np.ndarray, mu: float) -> fl
 
 
 def _oracle_vertices(table: CostTable) -> list[tuple[int, int, np.ndarray]]:
-    """(i, j, scheme) for every vertex of every response-pair polytope,
-    built and enumerated here rather than read from the solver's cache."""
+    """(i, j, scheme) for every vertex of every response-pair polytope, in
+    pair and basis order (_pair_vertices), built and enumerated here rather
+    than read from the solver's cache. A scheme is the raw vertex reshaped,
+    with no clip or rescale."""
     m, n = table.m, table.n
-    out = [(i, j, x.reshape(n, m).T)
-           for (i, j), poly in _pair_polytopes(table).items() for x in enumerate_vertices(poly)]
+    out = [(i, j, x.reshape(n, m).T) for (i, j), verts in _pair_vertices(table).items() for x in verts]
     if not out:
         raise RuntimeError("no feasible response pair found by enumeration")
     return out
@@ -379,26 +393,20 @@ def _g3_by_obedience(table: CostTable, vertices, mu: float) -> tuple[float, floa
     rows = rows.reshape(n_vert * n_dev, 2 * n_vert)
     normalize = np.kron(np.ones(n_vert), np.eye(2))
     agent_obj = (w * agent).reshape(-1)
-    stage1 = solve_lp(LinearProgram(
-        objective=agent_obj,
-        constraint_matrix=rows,
-        rhs=np.zeros(len(rows)),
-        equality_matrix=normalize,
-        equality_rhs=np.ones(2),
-    ))
-    if not stage1.optimal:
-        raise SolverError("oracle_g3_by_obedience: the obedience LP did not solve")
+
+    def least(objective: np.ndarray, equality_matrix: np.ndarray, equality_rhs, what: str) -> float:
+        region = Polytope(2 * n_vert, rows, np.zeros(len(rows)), equality_matrix, equality_rhs)
+        start = phase_one(region)
+        optimum = None if start is None else phase_two(objective, start)
+        if optimum is None:
+            raise SolverError(f"oracle_g3_by_obedience: the {what} LP did not solve")
+        return float(objective @ optimum.solution(region.dim))
+
+    agent_value = least(agent_obj, normalize, np.ones(2), "obedience")
     # stage 2: the least principal cost among agent-optimal policies
-    stage2 = solve_lp(LinearProgram(
-        objective=(w * principal).reshape(-1),
-        constraint_matrix=rows,
-        rhs=np.zeros(len(rows)),
-        equality_matrix=np.vstack([normalize, agent_obj]),
-        equality_rhs=np.array([1.0, 1.0, stage1.value]),
-    ))
-    if not stage2.optimal:
-        raise SolverError("oracle_g3_by_obedience: the tie-break LP did not solve")
-    return stage1.value, stage2.value
+    principal_value = least((w * principal).reshape(-1), np.vstack([normalize, agent_obj]),
+                            np.array([1.0, 1.0, agent_value]), "tie-break")
+    return agent_value, principal_value
 
 
 def oracle_g3_by_obedience(table: CostTable, prior) -> tuple[float, float]:
@@ -459,8 +467,9 @@ def verify_matrix(table: CostTable, prior, grid_size: int = 2001, kappa: float |
     """Cross-check every matrix solver on one table: g2 against enumeration
     at several beliefs, the hull walk against pair bracketing, persuasion
     against the envelope theorem and the obedience LP, and acquisition
-    against an independently assembled envelope. The vertices are
-    enumerated once and shared by the g2 and obedience oracles."""
+    against an independently assembled envelope. The vertices come from one
+    batched pass over the pair polytopes (_pair_vertices) and are shared by
+    the g2 and obedience oracles."""
     mu = as_probability(prior)
     vertices = _oracle_vertices(table)
     reports = []

@@ -18,11 +18,11 @@ from incentive_games.belief_engine import envelope_from_samples
 from incentive_games.matrix_games import (
     CostTable,
     agent_value_curve,
-    principal_value_curve,
     solve_g1,
     solve_g2,
     solve_g3,
     solve_g4,
+    value_curves,
 )
 from incentive_games.oracle import collect_xi, oracle_qg_montecarlo
 from incentive_games.qg_games import (
@@ -83,7 +83,7 @@ def test_criterion_02_state_independent_benchmark(table_a):
 
 def test_criterion_03_price_of_ignorance(table_suite):
     for table in table_suite:
-        beliefs, jp2 = principal_value_curve(table, 2001)
+        beliefs, jp2 = value_curves(table, 2001)[:2]
         v1, v2 = _full_information_line(table)
         jp1 = beliefs * v1 + (1.0 - beliefs) * v2
         assert np.all(jp1 <= jp2 + 1e-8)
@@ -91,7 +91,7 @@ def test_criterion_03_price_of_ignorance(table_suite):
 
 def test_criterion_04_concavity_and_series_endpoints(table_suite, tmp_path):
     for table in table_suite:
-        _, jp2 = principal_value_curve(table, 2001)
+        _, jp2 = value_curves(table, 2001)[:2]
         assert np.all(jp2[1:-1] >= (jp2[:-2] + jp2[2:]) / 2.0 - 1e-8)
     out = tmp_path / "series.csv"
     assert cli.main(["figure", "1", "--out", str(out)]) == 0

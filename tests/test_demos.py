@@ -1,9 +1,11 @@
-"""Smoke tests: every demo script runs and prints its headline result, and
-the package runs with numpy as its only third-party import."""
+"""Smoke tests: every demo script runs and prints its headline result, the
+package runs with numpy as its only third-party import, and its public API
+is exactly __all__."""
 
 import runpy
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,14 @@ def test_package_runs_without_scipy_or_hypothesis():
     done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
                           env={"PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_all_is_exactly_the_public_bindings():
+    # every name in __all__ resolves, and every public binding of the package
+    # that is not a submodule is in __all__, once: an export deleted from the
+    # imports but left in __all__ fails here, and so does one left out
+    for name in incentive_games.__all__:
+        assert hasattr(incentive_games, name), name
+    public = [name for name, value in vars(incentive_games).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert sorted(incentive_games.__all__) == sorted(public)

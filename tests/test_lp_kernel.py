@@ -7,16 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from incentive_games import lp_kernel, oracle
 from incentive_games.lp_kernel import (
-    LinearProgram,
-    LpStatus,
     Polytope,
     SolverError,
-    lexicographic_argmin,
     lexicographic_descent,
     parametric_walk,
     phase_one,
     phase_two,
-    solve_lp,
 )
 from incentive_games.matrix_games import CostTable, _pair_polytope
 from incentive_games.oracle import enumerate_bounded_vertices, enumerate_vertices
@@ -27,47 +23,56 @@ except ImportError:
     linprog = None
 
 
+def _two_phase(region: Polytope, c) -> tuple[str, np.ndarray | None, float | None]:
+    """min c @ x over `region` by a fresh phase one and then phase two: the
+    status ("infeasible" when phase one returns None, "unbounded" when phase
+    two does, else "optimal"), the optimal point and its value c @ x."""
+    c = np.asarray(c, dtype=float)
+    start = phase_one(region)
+    if start is None:
+        return "infeasible", None, None
+    optimum = phase_two(c, start)
+    if optimum is None:
+        return "unbounded", None, None
+    x = optimum.solution(region.dim)
+    return "optimal", x, float(c @ x)
+
+
+def _fresh_lex_min(region: Polytope, c: np.ndarray) -> np.ndarray:
+    """The lex-min optimal point from a fresh phase one and phase two."""
+    return lexicographic_descent(c, phase_two(c, phase_one(region)))
+
+
 def test_bound_active_optimum():
-    sol = solve_lp(LinearProgram(objective=[1.0]))
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.value == pytest.approx(0.0, abs=1e-12)
+    status, _, value = _two_phase(Polytope(dim=1), [1.0])
+    assert status == "optimal"
+    assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_unbounded_below():
-    sol = solve_lp(LinearProgram(objective=[-1.0]))
-    assert sol.status is LpStatus.UNBOUNDED
+    assert phase_two(np.array([-1.0]), phase_one(Polytope(dim=1))) is None
 
 
 def test_equality_forces_value():
-    sol = solve_lp(
-        LinearProgram(objective=[1.0, 1.0], equality_matrix=[[1.0, 1.0]], equality_rhs=[1.0])
-    )
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.value == pytest.approx(1.0, abs=1e-12)
+    status, _, value = _two_phase(Polytope(dim=2, equality_matrix=[[1.0, 1.0]], equality_rhs=[1.0]), [1.0, 1.0])
+    assert status == "optimal"
+    assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_infeasible_detected():
-    sol = solve_lp(
-        LinearProgram(objective=[1.0], equality_matrix=[[1.0]], equality_rhs=[-2.0])
-    )
-    assert sol.status is LpStatus.INFEASIBLE
+    assert phase_one(Polytope(dim=1, equality_matrix=[[1.0]], equality_rhs=[-2.0])) is None
 
 
 def test_redundant_equalities_handled():
-    sol = solve_lp(
-        LinearProgram(
-            objective=[2.0, 1.0],
-            equality_matrix=[[1.0, 1.0], [2.0, 2.0]],
-            equality_rhs=[1.0, 2.0],
-        )
-    )
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.value == pytest.approx(1.0, abs=1e-10)
-    assert sol.point == pytest.approx([0.0, 1.0], abs=1e-10)
+    region = Polytope(dim=2, equality_matrix=[[1.0, 1.0], [2.0, 2.0]], equality_rhs=[1.0, 2.0])
+    status, x, value = _two_phase(region, [2.0, 1.0])
+    assert status == "optimal"
+    assert value == pytest.approx(1.0, abs=1e-10)
+    assert x == pytest.approx([0.0, 1.0], abs=1e-10)
 
 
 @st.composite
-def _lps(draw) -> LinearProgram:
+def _lps(draw) -> tuple[Polytope, np.ndarray]:
     # two-decimal entries, so ties and degenerate vertices are common but no
     # coefficient sits near either solver's zero threshold
     d = draw(st.integers(1, 4))
@@ -81,36 +86,38 @@ def _lps(draw) -> LinearProgram:
     # optional upper bounds x_t <= u as constraint rows
     upper = np.array(draw(st.lists(st.sampled_from([np.inf, 2.0, 1.0, 0.5]), min_size=d, max_size=d)))
     capped = np.isfinite(upper)
-    return LinearProgram(
-        objective=block(1, d)[0],
+    c = block(1, d)[0]
+    region = Polytope(
+        dim=d,
         constraint_matrix=np.vstack([a, np.eye(d)[capped]]),
         rhs=np.concatenate([b, upper[capped]]),
         equality_matrix=block(e, d),
         equality_rhs=block(1, e)[0],
     )
+    return region, c
 
 
 @pytest.mark.skipif(linprog is None, reason="scipy is not installed")
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_lps())
-def test_solve_lp_agrees_with_highs(lp):
-    sol = solve_lp(lp)
+def test_phases_agree_with_highs(lp):
+    region, c = lp
+    status, _, value = _two_phase(region, c)
     res = linprog(
-        lp.objective,
-        A_ub=lp.constraint_matrix if lp.constraint_matrix.shape[0] else None,
-        b_ub=lp.rhs if lp.rhs.shape[0] else None,
-        A_eq=lp.equality_matrix if lp.equality_matrix.shape[0] else None,
-        b_eq=lp.equality_rhs if lp.equality_rhs.shape[0] else None,
+        c,
+        A_ub=region.constraint_matrix if region.constraint_matrix.shape[0] else None,
+        b_ub=region.rhs if region.rhs.shape[0] else None,
+        A_eq=region.equality_matrix if region.equality_matrix.shape[0] else None,
+        b_eq=region.equality_rhs if region.equality_rhs.shape[0] else None,
         method="highs",
         # HiGHS's presolve calls some feasible unbounded LPs infeasible
         # (e.g. min -2.17 x0 + 1.56 x1 - 0.96 x2 under three rows of this
         # strategy with x1 <= 1); its simplex alone does not
         options={"presolve": False},
     )
-    want = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}[res.status]
-    assert sol.status is want
-    if sol.optimal:
-        assert sol.value == pytest.approx(res.fun, abs=1e-7 * max(1.0, abs(res.fun)))
+    assert status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    if status == "optimal":
+        assert value == pytest.approx(res.fun, abs=1e-7 * max(1.0, abs(res.fun)))
 
 
 def test_more_equality_rows_than_variables():
@@ -137,9 +144,9 @@ def test_degenerate_problem_terminates():
     ]
     b = [0.0, 0.0, 1.0]
     c = [-10.0, 57.0, 9.0, 24.0]
-    sol = solve_lp(LinearProgram(objective=c, constraint_matrix=A, rhs=b))
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.value == pytest.approx(-1.0, abs=1e-9)
+    status, _, value = _two_phase(Polytope(dim=4, constraint_matrix=A, rhs=b), c)
+    assert status == "optimal"
+    assert value == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_bit_identical_reruns():
@@ -147,19 +154,20 @@ def test_bit_identical_reruns():
     for _ in range(10):
         d = int(rng.integers(2, 6))
         k = int(rng.integers(1, 5))
-        lp = LinearProgram(
-            objective=rng.normal(size=d),
+        c = rng.normal(size=d)
+        region = Polytope(
+            dim=d,
             constraint_matrix=rng.normal(size=(k, d)),
             rhs=rng.uniform(0.5, 2.0, size=k),
             equality_matrix=np.ones((1, d)),
             equality_rhs=[1.0],
         )
-        a = solve_lp(lp)
-        bsol = solve_lp(lp)
-        assert a.status == bsol.status
-        if a.optimal:
-            assert a.value == bsol.value  # exact equality, not approx
-            assert np.array_equal(a.point, bsol.point)
+        a = _two_phase(region, c)
+        bsol = _two_phase(region, c)
+        assert a[0] == bsol[0]
+        if a[0] == "optimal":
+            assert a[2] == bsol[2]  # exact equality, not approx
+            assert np.array_equal(a[1], bsol[1])
 
 
 def test_solution_feasibility_invariant():
@@ -169,28 +177,22 @@ def test_solution_feasibility_invariant():
         k = int(rng.integers(1, 6))
         A = rng.normal(size=(k, d))
         b = rng.uniform(0.2, 2.0, size=k)
-        lp = LinearProgram(
-            objective=rng.normal(size=d),
-            constraint_matrix=A,
-            rhs=b,
-            equality_matrix=np.ones((1, d)),
-            equality_rhs=[1.0],
-        )
-        sol = solve_lp(lp)
-        if sol.optimal:
-            x = sol.point
+        c = rng.normal(size=d)
+        region = Polytope(dim=d, constraint_matrix=A, rhs=b, equality_matrix=np.ones((1, d)), equality_rhs=[1.0])
+        status, x, value = _two_phase(region, c)
+        if status == "optimal":
             assert np.all(A @ x <= b + 1e-8)
             assert abs(x.sum() - 1.0) <= 1e-8
             assert np.all(x >= -1e-8)
-            assert sol.value == pytest.approx(float(lp.objective @ x), rel=1e-9, abs=1e-12)
+            assert value == pytest.approx(float(c @ x), rel=1e-9, abs=1e-12)
 
 
 def test_pivot_cap_raises_solver_error(monkeypatch):
-    lp = LinearProgram(objective=[-1.0, -1.0], constraint_matrix=[[1.0, 2.0], [3.0, 1.0]], rhs=[4.0, 6.0])
-    assert solve_lp(lp).value == pytest.approx(-2.8)
+    region = Polytope(dim=2, constraint_matrix=[[1.0, 2.0], [3.0, 1.0]], rhs=[4.0, 6.0])
+    assert _two_phase(region, [-1.0, -1.0])[2] == pytest.approx(-2.8)
     monkeypatch.setattr(lp_kernel, "_PIVOTS_PER_LINE", 0)
     with pytest.raises(SolverError, match="pivots"):
-        solve_lp(lp)
+        _two_phase(region, [-1.0, -1.0])
 
 
 def test_enumeration_capacity_is_checked_before_building_bases(monkeypatch):
@@ -262,19 +264,19 @@ def test_lp_matches_vertex_minimum(seed):
         equality_rhs=[1.0],
     )
     c = rng.normal(size=d)
-    sol = solve_lp(p.lp(c))
+    status, _, value = _two_phase(p, c)
     verts = enumerate_vertices(p)
-    if sol.optimal:
+    if status == "optimal":
         assert verts, "optimal LP but no vertices found"
         vmin = min(float(c @ v) for v in verts)
-        assert sol.value == pytest.approx(vmin, abs=1e-8)
-        assert all(sol.value <= float(c @ v) + 1e-8 for v in verts)
+        assert value == pytest.approx(vmin, abs=1e-8)
+        assert all(value <= float(c @ v) + 1e-8 for v in verts)
     else:
-        assert sol.status is LpStatus.INFEASIBLE
+        assert status == "infeasible"
         assert verts == []
 
 
-def test_lexicographic_argmin_is_lex_min_optimal_vertex():
+def test_lexicographic_descent_is_lex_min_optimal_vertex():
     rng = np.random.default_rng(3)
     for _ in range(15):
         d = int(rng.integers(2, 5))
@@ -283,18 +285,18 @@ def test_lexicographic_argmin_is_lex_min_optimal_vertex():
         p = Polytope(dim=d, constraint_matrix=A, rhs=b,
                      equality_matrix=np.ones((1, d)), equality_rhs=[1.0])
         c = rng.choice([0.0, 1.0], size=d)  # flat directions make ties likely
-        sol = solve_lp(p.lp(c))
-        if not sol.optimal:
+        status, _, value = _two_phase(p, c)
+        if status != "optimal":
             continue
-        canon = lexicographic_argmin(p.lp(c))
+        canon = _fresh_lex_min(p, c)
         verts = enumerate_vertices(p)
-        opts = [v for v in verts if float(c @ v) <= sol.value + 1e-8]
+        opts = [v for v in verts if float(c @ v) <= value + 1e-8]
         lexmin = min(opts, key=lambda v: tuple(np.round(v, 9)))
-        assert canon.point == pytest.approx(lexmin, abs=1e-7)
+        assert canon == pytest.approx(lexmin, abs=1e-7)
 
 
 @st.composite
-def _bounded_lps(draw) -> LinearProgram:
+def _bounded_lps(draw) -> tuple[Polytope, np.ndarray]:
     """min c @ x over x >= 0 under up to three rows, bounded by sum(x) = 1 or
     by the box x <= 1. The rows are small integers (degenerate vertices) or
     normal draws; c is 0/1, so that optimal faces are common."""
@@ -307,55 +309,49 @@ def _bounded_lps(draw) -> LinearProgram:
         a, b = rng.normal(size=k * d), rng.uniform(0.3, 1.5, size=k)
     c = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=d, max_size=d)))
     if draw(st.booleans()):
-        return LinearProgram(objective=c, constraint_matrix=a.reshape(k, d), rhs=b,
-                             equality_matrix=np.ones((1, d)), equality_rhs=[1.0])
-    return LinearProgram(objective=c, constraint_matrix=np.vstack([a.reshape(k, d), np.eye(d)]),
-                         rhs=np.concatenate([b, np.ones(d)]))
+        return Polytope(dim=d, constraint_matrix=a.reshape(k, d), rhs=b,
+                        equality_matrix=np.ones((1, d)), equality_rhs=[1.0]), c
+    return Polytope(dim=d, constraint_matrix=np.vstack([a.reshape(k, d), np.eye(d)]),
+                    rhs=np.concatenate([b, np.ones(d)])), c
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_bounded_lps())
-def test_lexicographic_argmin_equals_the_enumeration_oracle(lp):
-    canon = lexicographic_argmin(lp)
-    verts = enumerate_vertices(Polytope(dim=lp.dim, constraint_matrix=lp.constraint_matrix, rhs=lp.rhs,
-                                        equality_matrix=lp.equality_matrix, equality_rhs=lp.equality_rhs))
+def test_lexicographic_descent_equals_the_enumeration_oracle(lp):
+    region, c = lp
+    start = phase_one(region)
+    verts = enumerate_vertices(region)
     if not verts:
-        assert canon.status is LpStatus.INFEASIBLE
+        assert start is None
         return
-    values = [float(lp.objective @ v) for v in verts]
+    optimum = phase_two(c, start)
+    assert optimum is not None
+    canon = lexicographic_descent(c, optimum)
+    values = [float(c @ v) for v in verts]
     optimal = [v for v, value in zip(verts, values) if value <= min(values) + 1e-9]
     lexmin = min(optimal, key=lambda v: tuple(np.round(v, 9)))
-    assert canon.optimal
-    assert np.max(np.abs(canon.point - lexmin)) <= 1e-9
-
-
-def _same_solution(a, b) -> bool:
-    if a.status is not b.status:
-        return False
-    if not a.optimal:
-        return a.point is None and b.point is None
-    return a.point.tobytes() == b.point.tobytes() and a.value.hex() == b.value.hex()
+    assert np.max(np.abs(canon - lexmin)) <= 1e-9
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_bounded_lps(), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
-def test_phase_two_from_one_phase_one_equals_solve_lp(lp, seeds):
+def test_phase_two_from_one_phase_one_equals_a_fresh_phase_one(lp, seeds):
     # One phase-one result serves every objective over the same constraints:
-    # phase two works on a copy, so each solve is bit for bit the fresh
-    # two-phase solve of its own LP, and so is its lexicographic minimum.
-    start = phase_one(lp)
+    # phase two works on a copy, so each solve is bit for bit the one from a
+    # fresh phase one of its own LP, and so is its lexicographic minimum.
+    region, c = lp
+    start = phase_one(region)
     if start is None:
-        assert solve_lp(lp).status is LpStatus.INFEASIBLE
+        assert phase_one(region) is None
         return
     assert not start.array.flags.writeable and not start.basis.flags.writeable
     before = (start.array.tobytes(), start.basis.tobytes())
-    objectives = [lp.objective] + [np.random.default_rng(s).normal(size=lp.dim) for s in seeds]
+    objectives = [c] + [np.random.default_rng(s).normal(size=region.dim) for s in seeds]
     for c in objectives:
-        fresh = LinearProgram(c, lp.constraint_matrix, lp.rhs, lp.equality_matrix, lp.equality_rhs)
         optimum = phase_two(c, start)
         assert optimum is not None
-        assert _same_solution(optimum.solution(c), solve_lp(fresh))
-        assert _same_solution(lexicographic_descent(c, optimum), lexicographic_argmin(fresh))
+        assert optimum.solution(region.dim).tobytes() == _two_phase(region, c)[1].tobytes()
+        assert lexicographic_descent(c, optimum).tobytes() == _fresh_lex_min(region, c).tobytes()
     assert (start.array.tobytes(), start.basis.tobytes()) == before
 
 
@@ -366,9 +362,9 @@ def test_phase_two_reports_unbounded_objectives_from_a_shared_start():
     start = phase_one(region)
     assert start.array.shape == (2, 4)
     assert phase_two(np.array([-1.0, 0.0]), start) is None
-    assert solve_lp(region.lp([-1.0, 0.0])).status is LpStatus.UNBOUNDED
+    assert _two_phase(region, [-1.0, 0.0])[0] == "unbounded"
     c = np.array([1.0, 1.0])
-    assert _same_solution(phase_two(c, start).solution(c), solve_lp(region.lp(c)))
+    assert phase_two(c, start).solution(2).tobytes() == _two_phase(region, c)[1].tobytes()
 
 
 def test_phase_one_deletes_a_redundant_row_and_every_artificial_column():
@@ -381,11 +377,11 @@ def test_phase_one_deletes_a_redundant_row_and_every_artificial_column():
     start = phase_one(region)
     assert start.array.shape == (2, 3)              # one row and x0, x1, rhs
     assert start.basis.tolist() == [0]
-    assert solve_lp(region.lp([1.0, 2.0])).point.tolist() == [1.0, 0.0]
+    assert _two_phase(region, [1.0, 2.0])[1].tolist() == [1.0, 0.0]
     for c in (np.array([1.0, 2.0]), np.array([2.0, 1.0]), np.array([1.0, 1.0])):
         optimum = phase_two(c, start)
-        assert _same_solution(optimum.solution(c), solve_lp(region.lp(c)))
-        assert _same_solution(lexicographic_descent(c, optimum), lexicographic_argmin(region.lp(c)))
+        assert optimum.solution(2).tobytes() == _two_phase(region, c)[1].tobytes()
+        assert lexicographic_descent(c, optimum).tobytes() == _fresh_lex_min(region, c).tobytes()
 
 
 def test_phase_one_reports_an_empty_region():
@@ -393,7 +389,6 @@ def test_phase_one_reports_an_empty_region():
     region = Polytope(dim=2, constraint_matrix=[[1.0, 1.0]], rhs=[0.5],
                       equality_matrix=[[1.0, 1.0]], equality_rhs=[1.0])
     assert phase_one(region) is None
-    assert solve_lp(region.lp([1.0, 0.0])).status is LpStatus.INFEASIBLE
 
 
 def _lex_optimum(verts: list[np.ndarray], objectives: list[np.ndarray]) -> np.ndarray:
@@ -412,16 +407,16 @@ def test_parametric_walk_equals_the_enumeration_oracle(lp, seed, two_levels):
     # b (and a second level) drawn from {0, 1, 2}: ties are common. At every
     # breakpoint, and inside every interval, the walk's point is the oracle's
     # lexicographic optimum over all vertices.
-    start = phase_one(lp)
-    verts = enumerate_vertices(Polytope(dim=lp.dim, constraint_matrix=lp.constraint_matrix, rhs=lp.rhs,
-                                        equality_matrix=lp.equality_matrix, equality_rhs=lp.equality_rhs))
+    region, c = lp
+    start = phase_one(region)
+    verts = enumerate_vertices(region)
     if start is None:
         assert not verts
         return
     rng = np.random.default_rng(seed)
-    levels = [(lp.objective, rng.integers(0, 3, lp.dim).astype(float))]
+    levels = [(c, rng.integers(0, 3, region.dim).astype(float))]
     if two_levels:
-        levels.append(tuple(rng.integers(0, 3, (2, lp.dim)).astype(float)))
+        levels.append(tuple(rng.integers(0, 3, (2, region.dim)).astype(float)))
     walk = parametric_walk(start, levels)
     assert walk.beliefs[0] == 0.0 and walk.beliefs[-1] == 1.0
     assert all(s < t for s, t in zip(walk.beliefs, walk.beliefs[1:]))
@@ -496,9 +491,9 @@ def test_vertices_satisfy_constraints():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        LinearProgram(objective=[1.0, 2.0], constraint_matrix=[[1.0]], rhs=[1.0])
+        Polytope(dim=2, constraint_matrix=[[1.0]], rhs=[1.0])
     with pytest.raises(ValueError):
-        LinearProgram(objective=[1.0], constraint_matrix=[[1.0]], rhs=[1.0, 2.0])
+        Polytope(dim=1, constraint_matrix=[[1.0]], rhs=[1.0, 2.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -507,14 +502,10 @@ def test_non_finite_constraint_matrices_rejected(field, bad):
     rhs = "rhs" if field == "constraint_matrix" else "equality_rhs"
     data = {field: [[bad, 1.0]], rhs: [1.0]}
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        LinearProgram(objective=[1.0, 1.0], **data)
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
         Polytope(dim=2, **data)
 
 
 def test_variables_are_nonnegative_only():
-    with pytest.raises(TypeError):
-        LinearProgram(objective=[1.0], bounds=[(0.0, 1.0)])
     with pytest.raises(TypeError):
         Polytope(dim=1, bounds=[(0.0, 1.0)])
     assert Polytope(dim=2).bounds == ((0.0, np.inf), (0.0, np.inf))
@@ -534,10 +525,10 @@ def _naive_vertices(p: Polytope) -> list[np.ndarray]:
     d = p.dim
     for t in range(d):
         for sign in (1.0, -1.0):
-            sol = solve_lp(p.lp(sign * np.eye(d)[t]))
-            if sol.status is LpStatus.UNBOUNDED:
+            status = _two_phase(p, sign * np.eye(d)[t])[0]
+            if status == "unbounded":
                 raise ValueError("polytope is unbounded")
-            if sol.status is LpStatus.INFEASIBLE:
+            if status == "infeasible":
                 return []
     G = np.vstack([p.constraint_matrix, -np.eye(d)])
     h = np.concatenate([p.rhs, np.zeros(d)])
@@ -717,18 +708,24 @@ def test_enumeration_memory_is_bounded_by_the_block_size(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_pair_polytope_boundedness_takes_one_lp(monkeypatch):
+    # One LP is one phase one and, where that finds the region nonempty, one
+    # phase two.
     rng = np.random.default_rng(0)
     mats = [rng.integers(0, 6, (3, 3)).astype(float) for _ in range(4)]
-    p = _pair_polytope(CostTable(cp=(mats[0], mats[1]), ca=(mats[2], mats[3])), 0, 0)
+    table = CostTable(cp=(mats[0], mats[1]), ca=(mats[2], mats[3]))
+    p = _pair_polytope(table, 0, 0)
     calls = []
 
-    def counted(lp):
-        calls.append(lp)
-        return solve_lp(lp)
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
 
-    monkeypatch.setattr(oracle, "solve_lp", counted)
+    monkeypatch.setattr(oracle, "phase_one", counted("phase_one", phase_one))
+    monkeypatch.setattr(oracle, "phase_two", counted("phase_two", phase_two))
     assert enumerate_vertices(p)
-    assert len(calls) == 1
+    assert calls == ["phase_one", "phase_two"]
     # and one LP for any other polytope: bounded, empty or unbounded
     cube = Polytope(dim=3, constraint_matrix=np.eye(3), rhs=np.ones(3))
     empty = Polytope(dim=2, constraint_matrix=[[1.0, 1.0]], rhs=[-1.0])
@@ -736,12 +733,17 @@ def test_pair_polytope_boundedness_takes_one_lp(monkeypatch):
     for poly, want in ((cube, True), (_random_polytope(rng), None), (empty, False)):
         calls.clear()
         got = oracle._bounded_and_feasible(poly)
-        assert len(calls) == 1
+        assert calls == ["phase_one"] + ["phase_two"] * got
         assert want is None or got is want
     calls.clear()
     with pytest.raises(ValueError, match="unbounded"):
         oracle._bounded_and_feasible(ray)
-    assert len(calls) == 1
+    assert calls == ["phase_one", "phase_two"]
+    # verify's vertex pass needs no boundedness LP: every pair polytope is
+    # bounded, so it runs one phase one per pair and no phase two
+    calls.clear()
+    assert oracle._oracle_vertices(table)
+    assert calls == ["phase_one"] * table.n ** 2
 
 
 def test_batched_contains_matches_per_point_calls():

@@ -7,13 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from incentive_games import lp_kernel, matrix_games, oracle
 from incentive_games.belief_engine import envelope_from_samples
-from incentive_games.lp_kernel import (
-    LinearProgram,
-    Polytope,
-    SolverError,
-    lexicographic_argmin,
-    solve_lp,
-)
+from incentive_games.lp_kernel import Polytope, SolverError, lexicographic_descent, phase_one, phase_two
 from incentive_games.matrix_games import (
     CostTable,
     IncentiveScheme,
@@ -22,7 +16,6 @@ from incentive_games.matrix_games import (
     _scheme_key,
     _to_matrix,
     agent_value_curve,
-    principal_value_curve,
     solve_g1,
     solve_g2,
     solve_g3,
@@ -268,7 +261,7 @@ def test_g2_reruns_identically(table_a):
 
 
 def test_principal_curve_anchors_a(table_a):
-    xs, vals = principal_value_curve(table_a, 2001)
+    xs, vals = value_curves(table_a, 2001)[:2]
     assert vals[0] == pytest.approx(1.0, abs=1e-8)
     assert vals[1000] == pytest.approx(3.0, abs=1e-8)
     assert vals[2000] == pytest.approx(1.0, abs=1e-8)
@@ -277,7 +270,6 @@ def test_principal_curve_anchors_a(table_a):
 def test_curves_match_direct_solves(table_a, table_b):
     for table in (table_a, table_b):
         xs, jp, ja = value_curves(table, 201)
-        assert np.array_equal(jp, principal_value_curve(table, 201)[1])
         assert np.array_equal(ja, agent_value_curve(table, 201)[1])
         for t in np.random.default_rng(3).choice(201, size=9, replace=False):
             r = solve_g2(table, xs[t])
@@ -450,13 +442,23 @@ def test_g1_state_one_cost_is_jp2_at_belief_one_where_a_row_is_broken_by_1e10():
 # ---------------------------------------------------------------------------
 
 
-def _first_optimal_point(lps: list[LinearProgram]) -> tuple[int, np.ndarray]:
-    """The principal's tie rule over fresh two-phase solves: the first LP
-    whose value is within the tie tolerance of the least, and its lex-min
-    point from a second, fresh solve."""
-    values = np.array([s.value if s.optimal else np.inf for s in map(solve_lp, lps)])
+def _fresh_optimum(region: Polytope, c: np.ndarray):
+    """Phase two of `c` from a fresh phase one of `region`: the optimal
+    tableau, or None when the region is empty or `c` unbounded on it."""
+    start = phase_one(region)
+    return None if start is None else phase_two(c, start)
+
+
+def _first_optimal_point(lps: list[tuple[Polytope, np.ndarray]]) -> tuple[int, np.ndarray]:
+    """The principal's tie rule over fresh two-phase solves of (region,
+    objective) LPs: the first LP whose value is within the tie tolerance of
+    the least, and its lex-min point from a second, fresh solve."""
+    optima = [_fresh_optimum(region, c) for region, c in lps]
+    values = np.array([np.inf if t is None else float(c @ t.solution(region.dim))
+                       for (region, c), t in zip(lps, optima)])
     best = int(np.argmax(values <= values.min() + matrix_games._OPTIMAL_TOL))
-    return best, lexicographic_argmin(lps[best]).point
+    region, c = lps[best]
+    return best, lexicographic_descent(c, _fresh_optimum(region, c))
 
 
 def _bits(actions, gamma, per_state, jp, ja) -> tuple:
@@ -478,12 +480,12 @@ def _pair_objective(table: CostTable, i: int, j: int, mu: float) -> np.ndarray:
 
 
 def _g2_from_fresh_lps(table: CostTable, mu: float) -> tuple:
-    """g2 with no cache: one LinearProgram per response pair, built and
-    solved from scratch at this belief. Returns the winning pair, its
-    lex-min scheme, and its principal and agent costs."""
+    """g2 with no cache: one LP per response pair, built and solved from
+    scratch at this belief. Returns the winning pair, its lex-min scheme,
+    and its principal and agent costs."""
     m, n = table.m, table.n
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    lps = [_pair_polytope(table, i, j).lp(_pair_objective(table, i, j, mu)) for i, j in pairs]
+    lps = [(_pair_polytope(table, i, j), _pair_objective(table, i, j, mu)) for i, j in pairs]
     best, x = _first_optimal_point(lps)
     (i, j), gamma = pairs[best], _to_matrix(x, m, n)
     jp = mu * (gamma[:, i] @ table.cp[0][:, i]) + (1.0 - mu) * (gamma[:, j] @ table.cp[1][:, j])
@@ -492,8 +494,8 @@ def _g2_from_fresh_lps(table: CostTable, mu: float) -> tuple:
 
 
 def _g1_from_fresh_lps(table: CostTable, mu: float) -> tuple:
-    """solve_g1 built on solve_lp and lexicographic_argmin alone: per state,
-    one LinearProgram per agent response."""
+    """solve_g1 built on fresh two-phase solves alone: per state, one LP per
+    agent response, its lex-min from a second fresh solve."""
     m, n = table.m, table.n
     eq = np.kron(np.eye(n), np.ones(m))
     schemes, per_state = [], []
@@ -503,7 +505,7 @@ def _g1_from_fresh_lps(table: CostTable, mu: float) -> tuple:
             rows = matrix_games._best_response_rows(table, k, j)
             c = np.zeros(m * n)
             c[j * m : (j + 1) * m] = table.cp[k][:, j]
-            lps.append(LinearProgram(c, rows, np.zeros(rows.shape[0]), eq, np.ones(n)))
+            lps.append((Polytope(m * n, rows, np.zeros(rows.shape[0]), eq, np.ones(n)), c))
         j, x = _first_optimal_point(lps)
         gamma = _to_matrix(x, m, n)
         schemes.append(gamma)
@@ -686,7 +688,7 @@ def test_g2_where_a_tiny_pivot_breaks_a_row():
 @pytest.mark.xfail(strict=True, reason="the simplex accepts a 3.7e-9 pivot and loses feasibility (ROADMAP item 1)")
 def test_phase_one_where_a_tiny_pivot_breaks_a_row_meets_the_column_sums():
     region = _pair_polytope(TINY_PIVOT_TABLE, 0, 0)
-    x = lp_kernel.phase_one(region).solution(np.zeros(region.dim)).point
+    x = lp_kernel.phase_one(region).solution(region.dim)
     assert np.max(np.abs(region.equality_matrix @ x - region.equality_rhs)) <= 1e-9
 
 
@@ -920,14 +922,14 @@ def test_collect_xi_refuses_a_table_too_large_to_enumerate(shape, bases, monkeyp
 
 def test_principal_curve_midpoint_concavity(table_a, table_b):
     for table in (table_a, table_b):
-        _, vals = principal_value_curve(table, 401)
+        _, vals = value_curves(table, 401)[:2]
         interior = vals[1:-1]
         assert np.all(interior >= 0.5 * (vals[:-2] + vals[2:]) - 1e-8)
 
 
 def test_curve_rejects_tiny_grid(table_a):
     with pytest.raises(ValueError):
-        principal_value_curve(table_a, 1)
+        value_curves(table_a, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -943,10 +945,11 @@ def test_curve_rejects_tiny_grid(table_a):
 @example(NEAR_FEASIBLE_TABLE)
 @example(load_scenario("scenarioB").table)
 def test_collect_xi_equals_per_pair_enumeration_bit_for_bit(block, table):
-    # collect_xi enumerates the nonempty pairs in one batched call (with
-    # block 64, 16 systems per batch, so every batch boundary of a 3x3 table
-    # falls inside a pair); each pair's vertices, and the schemes built from
-    # them, must be what its own enumerate_vertices call gives.
+    # collect_xi and verify's _oracle_vertices enumerate the nonempty pairs
+    # in one batched call (with block 64, 16 systems per batch, so every
+    # batch boundary of a 3x3 table falls inside a pair); each pair's
+    # vertices, and the schemes built from them, must be what its own
+    # enumerate_vertices call gives.
     m, n = table.m, table.n
     pairs = [(i, j) for i in range(n) for j in range(n)]
     polytopes = [_pair_polytope(table, i, j) for i, j in pairs]
@@ -956,6 +959,7 @@ def test_collect_xi_equals_per_pair_enumeration_bit_for_bit(block, table):
         mp.setattr(oracle, "_BASES_PER_BLOCK", block)
         batched = enumerate_bounded_vertices([p for p, ok in zip(polytopes, nonempty) if ok])
         groups = collect_xi(table).groups
+        flat = oracle._oracle_vertices(table)
     assert all(not verts for verts, ok in zip(singly, nonempty) if not ok)
     assert len(batched) == sum(nonempty)
     for got, want in zip(batched, [verts for verts, ok in zip(singly, nonempty) if ok]):
@@ -964,6 +968,9 @@ def test_collect_xi_equals_per_pair_enumeration_bit_for_bit(block, table):
     for pair, verts in zip(pairs, singly):
         want = sorted((_to_matrix(v, m, n) for v in verts), key=_scheme_key)
         assert [g.tobytes() for g in groups[pair]] == [g.tobytes() for g in want]
+    # verify's flat list: pair order, then basis order, each vertex raw
+    want = [(i, j, v.reshape(n, m).T) for (i, j), verts in zip(pairs, singly) for v in verts]
+    assert [(i, j, g.tobytes()) for i, j, g in flat] == [(i, j, g.tobytes()) for i, j, g in want]
 
 
 def _all_indifferent_two_by_six() -> CostTable:
