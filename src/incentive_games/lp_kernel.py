@@ -440,11 +440,6 @@ def parametric_walk(start: Tableau, levels) -> Walk | None:
             basis[leave] = entering
             pivots += 1
 
-    def point(tab: np.ndarray, basis: np.ndarray) -> np.ndarray:
-        y = np.zeros(n_cols)
-        y[basis] = tab[:m, -1]
-        return y[:d] + 0.0          # no -0.0 in a reported point
-
     def fork(rows: np.ndarray, mu: float, above: bool) -> np.ndarray | None:
         """The first level's optimum from a copy of the walk's tableau, or
         None where no later level decided (the walk's point is that)."""
@@ -455,7 +450,7 @@ def parametric_walk(start: Tableau, levels) -> Walk | None:
             return None
         copy, copy_basis = tab.copy(), basis.copy()
         minimize(copy, copy_basis, mu, above, 1)
-        return point(copy, copy_basis)
+        return Tableau(copy[: m + 1], copy_basis).solution(d)
 
     beliefs, at, between, forks = [], [], [], []
     mu = 0.0
@@ -463,13 +458,13 @@ def parametric_walk(start: Tableau, levels) -> Walk | None:
         while True:
             rows, _ = minimize(tab, basis, mu, False, n_levels)
             beliefs.append(mu)
-            at.append(point(tab, basis))
+            at.append(Tableau(tab[: m + 1], basis).solution(d))
             if (x := fork(rows, mu, False)) is not None:
                 forks.append((mu, mu, x))
             if mu >= 1.0:
                 return Walk(tuple(beliefs), tuple(at), tuple(between), tuple(forks))
             rows, slope = minimize(tab, basis, mu, True, n_levels)
-            between.append(point(tab, basis))
+            between.append(Tableau(tab[: m + 1], basis).solution(d))
             x = fork(rows, mu, True)
             big = np.abs(rows) > _PIVOT_TOL
             first = big.argmax(axis=0)

@@ -17,12 +17,12 @@ Four information regimes over the same cost data:
 Agent ties break in the principal's favor throughout (the weak-inequality
 best-response constraints encode exactly that). Principal ties follow one
 rule everywhere: the first candidate, in order, whose cost is within
-_OPTIMAL_TOL of the least wins (the first response pair in g2, the first
-response per state in g1, the lexicographically smallest optimal vertex
-within a pair). Every reported scheme is that vertex, so reruns are
-reproducible bit for bit. One per-table cache holds what no belief changes:
-the vertex profiles (_pair_profiles), per response pair that can be
-principal-optimal, only the vertices that a tie rule picks at some belief.
+_OPTIMAL_TOL of the least wins (the first response per state in g1, the
+first vertex in pair-then-lex order in g2 and g3). Every reported scheme is
+that vertex, so reruns are reproducible bit for bit. One per-table cache
+holds what no belief changes: the vertex table (_pair_profiles), per
+response pair that can be principal-optimal, only the vertices that a tie
+rule picks at some belief.
 One parametric walk of the belief from 0 to 1 (lp_kernel.parametric_walk)
 per pair finds them from the phase one of its polytope: it breaks the
 principal's ties by the agent's least cost first, as g3 does, and where the
@@ -32,14 +32,17 @@ envelope by a margin at every belief is neither walked nor given a phase
 one, and a walked pair whose vertices all lie that far above it is dropped;
 the kept profiles are the ones every pair's walks give. No vertex is
 enumerated, so the size of a table limits nothing but time. g2, the value
-curves, g3 and g4 read only these profiles: once they are built, g2 at any
-belief and g3 at any prior take no pivot. Only g1 solves LPs per call.
+curves, g3 and g4 read only this table, through one evaluator of jp2 and
+the principal-optimal vertices (_principal_optimal): once it is built, g2
+at any belief and g3 at any prior take no pivot. Only g1 solves LPs per
+call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,8 +168,8 @@ class EquilibriumReport:
     per_state: tuple[StateOutcome, StateOutcome]
     belief: float
 
-    def check(self, table: CostTable, tol: float = 1e-9, br_tol: float = BEST_RESPONSE_TOL) -> None:
-        """Re-evaluate costs and best responses against the table."""
+    def check(self, table: CostTable, br_tol: float = BEST_RESPONSE_TOL) -> None:
+        """Re-evaluate costs (to 1e-9) and best responses against the table."""
         mu = self.belief
         weights = (mu, 1.0 - mu)
         jp = ja = 0.0
@@ -183,7 +186,7 @@ class EquilibriumReport:
                     )
             jp += w * pc
             ja += w * ac
-        if abs(jp - self.principal_cost) > tol or abs(ja - self.agent_cost) > tol:
+        if max(abs(jp - self.principal_cost), abs(ja - self.agent_cost)) > 1e-9:
             raise AssertionError("reported costs do not match re-evaluation")
 
 
@@ -350,21 +353,21 @@ def solve_g1(table: CostTable, prior) -> EquilibriumReport:
 
 
 def solve_g2(table: CostTable, belief) -> EquilibriumReport:
-    """Bayesian game: one state-independent scheme; the response pair with
-    the cheapest induced (feasible) scheme wins, the first pair within
-    _OPTIMAL_TOL of the least on ties, and within it the lex-smallest
-    vertex within _OPTIMAL_TOL of the pair's least. It is one evaluation of
-    the cached vertex profiles by value_curves' rule, so the principal cost
-    is the g2 value jp2 and the agent cost ja2, bit for bit."""
+    """Bayesian game: one state-independent scheme; the cheapest induced
+    (feasible) scheme wins, on ties the first vertex, in pair order and then
+    lexicographic order within a pair, within _OPTIMAL_TOL of the least. It
+    is one evaluation of the cached vertex table by value_curves' rule, so
+    the principal cost is the g2 value jp2 and the agent cost ja2, bit for
+    bit."""
     mu = as_probability(belief)
-    profiles = _pair_profiles(table)
-    jp2, ja2, chosen, vertex = _curves_from_profiles(profiles, np.array([mu]))
-    prof, v = profiles[chosen[0]], vertex[0]
-    outcomes = tuple(StateOutcome(rec, float(prof.principal[v, k]), float(prof.agent[v, k]))
-                     for k, rec in enumerate(prof.group))
+    vertices = _pair_profiles(table)
+    jp2, ja2, (v,) = _g2_choice(vertices, np.array([mu]))
+    group = tuple(vertices.groups[v].tolist())
+    outcomes = tuple(StateOutcome(rec, float(vertices.principal[v, k]), float(vertices.agent[v, k]))
+                     for k, rec in enumerate(group))
     return EquilibriumReport(
-        scheme=IncentiveScheme(prof.schemes[v]),
-        agent_actions=prof.group,
+        scheme=IncentiveScheme(vertices.schemes[v]),
+        agent_actions=group,
         principal_cost=float(jp2[0]),
         agent_cost=float(ja2[0]),
         per_state=outcomes,
@@ -373,16 +376,16 @@ def solve_g2(table: CostTable, belief) -> EquilibriumReport:
 
 
 # ---------------------------------------------------------------------------
-# per-table cache: vertex profiles and value curves
+# per-table cache: the vertex table and value curves
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _PairProfile:
-    group: tuple[int, int]
-    schemes: np.ndarray                   # (n_vertices, m, n) lex-sorted vertex schemes
-    principal: np.ndarray                 # (n_vertices, 2) per-state costs
-    agent: np.ndarray                     # (n_vertices, 2)
+class _Vertices(NamedTuple):
+    """The vertex table: rows in pair order, lex order within a pair."""
+    groups: np.ndarray                    # (V, 2) response pair
+    schemes: np.ndarray                   # (V, m, n) vertex scheme
+    principal: np.ndarray                 # (V, 2) per-state costs
+    agent: np.ndarray                     # (V, 2)
 
 
 def _dominated(lines: np.ndarray, kept: np.ndarray, margin: float) -> np.ndarray:
@@ -413,11 +416,11 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     return order[new]
 
 
-def _profile(table: CostTable, group: tuple[int, int], points: list[np.ndarray]) -> _PairProfile | None:
-    """A pair's profile from its walk's and forks' points: sorted
-    lexicographically by the stacked-columns point under the "same vertex"
-    rounding (_same_vertex), equal ones kept once, so the first optimal one
-    is the lex-min; None when no point is a scheme."""
+def _profile(table: CostTable, group: tuple[int, int], points: list[np.ndarray]) -> _Vertices | None:
+    """A pair's rows of the vertex table from its walk's and forks' points:
+    sorted lexicographically by the stacked-columns point under the "same
+    vertex" rounding (_same_vertex), equal ones kept once, so the first
+    optimal one is the lex-min; None when no point is a scheme."""
     m, n = table.m, table.n
     i, j = group
     verts = np.array(points).reshape(-1, m * n)
@@ -432,14 +435,15 @@ def _profile(table: CostTable, group: tuple[int, int], points: list[np.ndarray])
     p, a = (np.concatenate([mats[:, None, :, i] @ c[0][:, i, None],
                             mats[:, None, :, j] @ c[1][:, j, None]], axis=1)[..., 0]
             for c in (table.cp, table.ca))
-    return _PairProfile(group, np.ascontiguousarray(mats), p, a)
+    return _Vertices(np.tile(group, (len(mats), 1)), np.ascontiguousarray(mats), p, a)
 
 
 @lru_cache(maxsize=128)
-def _pair_profiles(table: CostTable) -> tuple[_PairProfile, ...]:
-    """Per response pair that can be principal-optimal somewhere, in pair
-    order, the vertices that a tie rule picks at some belief, with their
-    per-state costs (_profile).
+def _pair_profiles(table: CostTable) -> _Vertices:
+    """The vertex table: per response pair that can be principal-optimal
+    somewhere, in pair order, the vertices that a tie rule picks at some
+    belief, with their per-state costs (_profile). The principal's tie rule
+    picks its first row within _OPTIMAL_TOL of the least (_principal_optimal).
 
     One parametric walk of the belief from 0 to 1 (lp_kernel.parametric_walk)
     finds a pair's vertices from the phase one of its polytope. Its levels
@@ -483,34 +487,33 @@ def _pair_profiles(table: CostTable) -> tuple[_PairProfile, ...]:
         if prof is not None:
             walked[k] = prof
             kept = np.vstack([kept, prof.principal])
-    profiles = tuple(walked[k] for k in sorted(walked) if not _dominated(walked[k].principal, kept, margin).all())
+    profiles = [walked[k] for k in sorted(walked) if not _dominated(walked[k].principal, kept, margin).all()]
     if not profiles:
         raise SolverError("no inducible response pair")
-    return profiles
+    return _Vertices(*map(np.concatenate, zip(*profiles)))
 
 
-def _curves_from_profiles(
-    profiles: tuple[_PairProfile, ...], beliefs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The g2 choice over a belief grid, by the solver's tie rules (the
-    first pair within _OPTIMAL_TOL of the least, then its lex-smallest
-    vertex within _OPTIMAL_TOL of the pair's least): the principal value
-    jp2 (the least), the agent cost ja2 at the chosen vertex, and per
-    belief the index of the chosen pair in `profiles` and of its vertex."""
-    mu = beliefs[None, :]
-    pair_vals, pair_agent, pair_first = [], [], []
-    for prof in profiles:
-        v = prof.principal[:, :1] @ mu + prof.principal[:, 1:] @ (1.0 - mu)
-        vmin = v.min(axis=0)
-        first = np.argmax(v <= vmin + _OPTIMAL_TOL, axis=0)  # lex-smallest vertex
-        pair_vals.append(vmin)
-        pair_agent.append(prof.agent[first, 0] * beliefs + prof.agent[first, 1] * (1.0 - beliefs))
-        pair_first.append(first)
-    vals = np.vstack(pair_vals)
-    jp2 = vals.min(axis=0)
-    chosen = np.argmax(vals <= jp2 + _OPTIMAL_TOL, axis=0)   # first pair in lex order
-    cols = np.arange(beliefs.shape[0])
-    return jp2, np.vstack(pair_agent)[chosen, cols], chosen, np.vstack(pair_first)[chosen, cols]
+def _lines(costs: np.ndarray, beliefs: np.ndarray) -> np.ndarray:
+    """Per row (c0, c1) of `costs` and per belief mu, mu * c0 + (1 - mu) * c1."""
+    return costs[:, :1] * beliefs + costs[:, 1:] * (1.0 - beliefs)
+
+
+def _principal_optimal(vertices: _Vertices, beliefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The g2 principal value jp2 per belief, the least principal cost over
+    the vertices, and the (V, beliefs) mask of the principal-optimal ones:
+    within _OPTIMAL_TOL of it. The principal's tie rule is the mask's first
+    row, and g3 reads the agent's least cost among its rows."""
+    pv = _lines(vertices.principal, beliefs)
+    jp2 = pv.min(axis=0)
+    return jp2, pv <= jp2 + _OPTIMAL_TOL
+
+
+def _g2_choice(vertices: _Vertices, beliefs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per belief, jp2, the agent cost ja2 at the principal's chosen row
+    (the first principal-optimal one), and that row."""
+    jp2, optimal = _principal_optimal(vertices, beliefs)
+    rows = np.argmax(optimal, axis=0)
+    return jp2, vertices.agent[rows, 0] * beliefs + vertices.agent[rows, 1] * (1.0 - beliefs), rows
 
 
 def value_curves(table: CostTable, grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -520,7 +523,7 @@ def value_curves(table: CostTable, grid_size: int) -> tuple[np.ndarray, np.ndarr
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     beliefs = np.linspace(0.0, 1.0, grid_size)
-    jp2, ja2, _, _ = _curves_from_profiles(_pair_profiles(table), beliefs)
+    jp2, ja2, _ = _g2_choice(_pair_profiles(table), beliefs)
     return beliefs, jp2, ja2
 
 
@@ -574,7 +577,8 @@ def solve_g3(table: CostTable, prior) -> PersuasionReport:
       the widest split, which dominates every other split on that stretch in
       convex order and so has the least sum of w * jp2 (jp2 is concave).
     - A split whose agent and principal costs equal ja*(mu) and jp2(mu)
-      within 1e-9 buys nothing; the report is the single atom at mu.
+      within 1e-9 buys nothing; the report is the single atom at mu, with
+      that atom's costs ja*(mu) and jp2(mu).
     - Each atom recommends the first vertex, in _pair_profiles order, that
       is principal-optimal there and whose agent cost is within
       _OPTIMAL_TOL of the least.
@@ -588,27 +592,23 @@ def solve_g3(table: CostTable, prior) -> PersuasionReport:
         rec = RecommendedScheme(g2.agent_actions, g2.scheme.columns, (1.0, 1.0), mu)
         return PersuasionReport((rec,), PosteriorSplit(((mu, 1.0),)), g2.principal_cost, g2.agent_cost, mu)
 
-    profiles = _pair_profiles(table)
-    principal = np.vstack([prof.principal for prof in profiles])
-    beliefs = np.unique([0.0, mu, 1.0, *_principal_breakpoints(principal)])
-    weights = np.stack([beliefs, 1.0 - beliefs], axis=1)
-    pv = weights @ principal.T                      # (beliefs, vertices)
-    jp2 = pv.min(axis=1)
-    agent = weights @ np.vstack([prof.agent for prof in profiles]).T
-    agent[pv > jp2[:, None] + _OPTIMAL_TOL] = np.inf    # not principal-optimal
-    ja = agent.min(axis=1)
+    vertices = _pair_profiles(table)
+    beliefs = np.unique([0.0, mu, 1.0, *_principal_breakpoints(vertices.principal)])
+    jp2, optimal = _principal_optimal(vertices, beliefs)
+    agent = np.where(optimal, _lines(vertices.agent, beliefs), np.inf)     # (vertices, beliefs)
+    ja = agent.min(axis=0)
 
     agent_value, atoms = envelope_from_samples(beliefs, ja, mu)
     idx = np.searchsorted(beliefs, [p for p, _ in atoms])
     principal_value = float(sum(w * jp2[t] for (_, w), t in zip(atoms, idx)))
     t = int(np.searchsorted(beliefs, mu))
     if abs(agent_value - ja[t]) <= 1e-9 and abs(principal_value - jp2[t]) <= 1e-9:
-        atoms, idx = ((mu, 1.0),), [t]
+        atoms, idx, agent_value, principal_value = ((mu, 1.0),), [t], ja[t], float(jp2[t])
 
-    owner = [(prof.group, s) for prof in profiles for s in prof.schemes]
     entries = []
     for (p, w), t in zip(atoms, idx):
-        (i, j), gamma = owner[int(np.argmax(agent[t] <= ja[t] + _OPTIMAL_TOL))]
+        v = int(np.argmax(agent[:, t] <= ja[t] + _OPTIMAL_TOL))
+        (i, j), gamma = vertices.groups[v].tolist(), vertices.schemes[v]
         obeyed = p * gamma[:, i] @ table.cp[0][:, i] + (1.0 - p) * gamma[:, j] @ table.cp[1][:, j]
         if obeyed > jp2[t] + BEST_RESPONSE_TOL:
             raise SolverError("recommended scheme is not principal-optimal at its posterior")

@@ -469,8 +469,11 @@ def verify_matrix(table: CostTable, prior, grid_size: int = 2001, kappa: float |
     against the envelope theorem and the obedience LP, and acquisition
     against an independently assembled envelope. The vertices come from one
     batched pass over the pair polytopes (_pair_vertices) and are shared by
-    the g2 and obedience oracles."""
+    the g2 and obedience oracles. `kappa`, when given, must be finite and
+    nonnegative; None leaves out the acquisition check."""
     mu = as_probability(prior)
+    if kappa is not None and not (math.isfinite(kappa) and kappa >= 0.0):
+        raise ValueError("kappa must be finite and nonnegative")
     vertices = _oracle_vertices(table)
     reports = []
 
@@ -505,7 +508,7 @@ def verify_matrix(table: CostTable, prior, grid_size: int = 2001, kappa: float |
             ("persuasion principal cost vs obedience LP", g3.principal_cost, principal, 1e-9),
         ):
             reports.append(OracleReport(quantity, solver_value, oracle_value, tolerance))
-        if kappa is not None and kappa >= 0.0:
+        if kappa is not None:
             total = jp + kappa * (1.0 - tilde_entropy(xs, mu))
             reports.append(
                 OracleReport(

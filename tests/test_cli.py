@@ -97,7 +97,7 @@ def test_json_round_trip_reconstructs_equilibrium(capsys):
             per_state=[StateOutcome(**o) for o in doc["per_state"]],
             belief=doc["belief"],
         )
-        report.check(scenario.table, tol=1e-9)
+        report.check(scenario.table)
 
 
 def test_report_csv_format(capsys):

@@ -278,11 +278,11 @@ def test_curves_match_direct_solves(table_a, table_b):
 
 
 def _curve_pair(table: CostTable, mu: float) -> tuple[int, int]:
-    """The response pair behind value_curves at mu: the first pair whose
-    least principal value is within the tie tolerance of the least."""
-    profiles = _pair_profiles(table)
-    vals = np.array([min(mu * p0 + (1.0 - mu) * p1 for p0, p1 in prof.principal) for prof in profiles])
-    return profiles[int(np.argmax(vals <= vals.min() + matrix_games._OPTIMAL_TOL))].group
+    """The response pair behind value_curves at mu: the pair of the first
+    vertex whose principal value is within the tie tolerance of the least."""
+    vertices = _pair_profiles(table)
+    vals = np.array([mu * p0 + (1.0 - mu) * p1 for p0, p1 in vertices.principal])
+    return tuple(vertices.groups[int(np.argmax(vals <= vals.min() + matrix_games._OPTIMAL_TOL))].tolist())
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -342,8 +342,9 @@ def test_g2_scheme_is_an_optimal_vertex_with_entries_near_1e8():
     assert r.principal_cost == pytest.approx(jp[11], abs=1e-12)
     assert r.agent_cost == pytest.approx(ja[11], abs=1e-12)
     assert (jp[11], ja[11]) == pytest.approx((0.0, -1.65), abs=1e-12)
-    vertices = next(p.schemes for p in _pair_profiles(table) if p.group == (0, 0))
-    assert any(np.array_equal(r.scheme.columns, v) for v in vertices)
+    vertices = _pair_profiles(table)
+    pair = np.all(vertices.groups == (0, 0), axis=1)
+    assert any(np.array_equal(r.scheme.columns, v) for v in vertices.schemes[pair])
 
 
 # A 3x3 table with cp0[0][1] = -1, ca0[0][1] = float32(1e-8) and every other
@@ -531,16 +532,17 @@ def _dominant_column_table() -> CostTable:
 @example(load_scenario("scenarioA").table, 0.37)
 @example(load_scenario("scenarioB").table, 0.123456789)
 def test_g2_is_the_value_curves_choice_bit_for_bit(table, mu):
-    # solve_g2 is one evaluation of the cached profiles by value_curves'
+    # solve_g2 is one evaluation of the cached vertex table by value_curves'
     # rule: its costs are the curves' values, and its scheme and per-state
-    # costs are the chosen pair's vertex
-    profiles = _pair_profiles(table)
+    # costs are the chosen vertex's
+    vertices = _pair_profiles(table)
     beliefs = np.array([0.0, mu, 1.0])
-    jp2, ja2, chosen, vertex = matrix_games._curves_from_profiles(profiles, beliefs)
+    jp2, ja2, rows = matrix_games._g2_choice(vertices, beliefs)
     for t, belief in enumerate(beliefs):
-        prof, v = profiles[chosen[t]], vertex[t]
-        per_state = [(rec, prof.principal[v, k], prof.agent[v, k]) for k, rec in enumerate(prof.group)]
-        want = _bits(prof.group, prof.schemes[v], per_state, jp2[t], ja2[t])
+        v = rows[t]
+        group = tuple(vertices.groups[v].tolist())
+        per_state = [(rec, vertices.principal[v, k], vertices.agent[v, k]) for k, rec in enumerate(group)]
+        want = _bits(group, vertices.schemes[v], per_state, jp2[t], ja2[t])
         assert _report_bits(solve_g2(table, belief)) == want
     xs, jp, ja = value_curves(table, 11)
     got = [solve_g2(table, belief) for belief in xs]
@@ -605,12 +607,12 @@ def test_phase_one_runs_once_per_walked_pair_and_never_for_a_pruned_pair(monkeyp
     ran = []
     for table in tables:
         polytopes.clear(), starts.clear(), walked.clear()
-        profiles = _pair_profiles(table)
+        vertices = _pair_profiles(table)
         assert len(polytopes) == len(set(polytopes)) == len(starts)     # once per pair
         nonempty = [s for s in starts if s is not None]
         assert len(nonempty) == len(walked) and all(s is w for s, w in zip(nonempty, walked))   # each walked once
         # a pair with no phase one lies above the profiles' envelope by the margin
-        n, lines = table.n, np.vstack([p.principal for p in profiles])
+        n, lines = table.n, vertices.principal
         margin = 10 * matrix_games.BEST_RESPONSE_TOL * (1.0 + np.abs(table.cp).max())
         for i, j in {(i, j) for i in range(n) for j in range(n)} - set(polytopes):
             bound = np.array([[table.cp[0][:, i].min(), table.cp[1][:, j].min()]])
@@ -761,9 +763,9 @@ def test_forks_give_the_vertices_of_a_principal_only_walk(table):
             assert forked == {_scheme_key(x) for x in (*principal_only.at, *principal_only.between)}
 
 
-def _every_pair_profiles(table: CostTable) -> tuple:
-    """Profiles with no pair pruned: one walk of every nonempty pair, its
-    points and its forks', a pair dropped when its walk fails."""
+def _every_pair_profiles(table: CostTable):
+    """The vertex table with no pair pruned: one walk of every nonempty
+    pair, its points and its forks', a pair dropped when its walk fails."""
     n = table.n
     state_cost, profiles = matrix_games._state_cost, []
     for i, j in [(i, j) for i in range(n) for j in range(n)]:
@@ -774,7 +776,12 @@ def _every_pair_profiles(table: CostTable) -> tuple:
             table, (i, j), [*walk.at, *walk.between, *(x for _, _, x in walk.forks)])
         if prof is not None:
             profiles.append(prof)
-    return tuple(profiles)
+    return matrix_games._Vertices(*map(np.concatenate, zip(*profiles)))
+
+
+def _groups(vertices) -> list[tuple[int, int]]:
+    """The response pairs of a vertex table, in its order."""
+    return list(dict.fromkeys(map(tuple, vertices.groups.tolist())))
 
 
 def _g3_bits(r) -> tuple:
@@ -782,8 +789,15 @@ def _g3_bits(r) -> tuple:
     return float(r.principal_cost).hex(), float(r.agent_cost).hex(), r.split.atoms, recs
 
 
-def _profile_bits(prof) -> tuple:
-    return prof.group, *((a.shape, a.tobytes()) for a in (prof.schemes, prof.principal, prof.agent))
+def _profile_bits(vertices, groups=None) -> list[tuple]:
+    """Per response pair of a vertex table (of `groups` only, if given), its
+    rows' bytes."""
+    out = []
+    for g in _groups(vertices):
+        rows = np.all(vertices.groups == g, axis=1)
+        if groups is None or g in groups:
+            out.append((g, *((a[rows].shape, a[rows].tobytes()) for a in vertices[1:])))
+    return out
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -800,12 +814,13 @@ def test_pruned_pairs_change_no_profile_curve_or_g3_bit_for_bit(table):
     # the pairs it skips must change no value and no choice
     every = _every_pair_profiles(table)
     kept = _pair_profiles(table)
-    assert [_profile_bits(p) for p in kept] == [_profile_bits(p) for p in every if p.group in {q.group for q in kept}]
+    assert _profile_bits(kept) == _profile_bits(every, _groups(kept))
     beliefs = np.linspace(0.0, 1.0, 2001)
-    got, want = matrix_games._curves_from_profiles(kept, beliefs), matrix_games._curves_from_profiles(every, beliefs)
+    got, want = matrix_games._g2_choice(kept, beliefs), matrix_games._g2_choice(every, beliefs)
     assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
-    assert [kept[c].group for c in got[2]] == [every[c].group for c in want[2]]
-    assert got[3].tobytes() == want[3].tobytes()        # the same vertex of the same profile
+    # the same vertex of the same pair
+    assert kept.groups[got[2]].tobytes() == every.groups[want[2]].tobytes()
+    assert kept.schemes[got[2]].tobytes() == every.schemes[want[2]].tobytes()
     priors = (0.13, 0.37, 0.5, 0.81)
     pruned = [_g3_bits(solve_g3(table, mu)) for mu in priors]
     with pytest.MonkeyPatch.context() as mp:
@@ -820,7 +835,7 @@ def test_a_failed_fork_drops_its_pair_and_prunes_nothing(monkeypatch):
     # above the kept pairs' own envelope by the margin, and the curves are
     # the ones that walking every other pair gives.
     scenario = load_scenario("scenarioA").table
-    assert [p.group for p in _pair_profiles(CostTable(cp=scenario.cp, ca=scenario.ca))] == [(0, 1), (1, 0), (1, 1)]
+    assert _groups(_pair_profiles(CostTable(cp=scenario.cp, ca=scenario.ca))) == [(0, 1), (1, 0), (1, 1)]
     failing = [matrix_games._state_cost(scenario.cp, k, r).tobytes() for k, r in enumerate((1, 0))]
     real = matrix_games.parametric_walk
     forked = []
@@ -836,14 +851,14 @@ def test_a_failed_fork_drops_its_pair_and_prunes_nothing(monkeypatch):
     table = CostTable(cp=scenario.cp, ca=scenario.ca)
     kept, every = _pair_profiles(table), _every_pair_profiles(table)
     assert forked == [True, True]
-    assert [p.group for p in every] == [(0, 0), (0, 1), (1, 1)]
-    groups = {p.group for p in kept}
-    assert [_profile_bits(p) for p in kept] == [_profile_bits(p) for p in every if p.group in groups]
-    lines = np.vstack([p.principal for p in kept])
+    assert _groups(every) == [(0, 0), (0, 1), (1, 1)]
+    groups = _groups(kept)
+    assert _profile_bits(kept) == _profile_bits(every, groups)
     margin = 10 * matrix_games.BEST_RESPONSE_TOL * (1.0 + np.abs(table.cp).max())
-    assert all(matrix_games._dominated(p.principal, lines, margin).all() for p in every if p.group not in groups)
+    left_out = np.array([tuple(g) not in groups for g in every.groups.tolist()])
+    assert matrix_games._dominated(every.principal[left_out], kept.principal, margin).all()
     beliefs = np.linspace(0.0, 1.0, 2001)
-    got, want = matrix_games._curves_from_profiles(kept, beliefs), matrix_games._curves_from_profiles(every, beliefs)
+    got, want = matrix_games._g2_choice(kept, beliefs), matrix_games._g2_choice(every, beliefs)
     assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
 
 
@@ -1131,6 +1146,24 @@ def test_g3_properties_random(table, prior):
     assert r.split.is_plausible(prior, tol=1e-7)
     total = sum(w for _, w in r.split.atoms)
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_small_tables())
+@example(load_scenario("scenarioA").table)
+@example(load_scenario("scenarioB").table)
+@example(TINY_PIVOT_TABLE)
+@example(NEAR_FEASIBLE_TABLE)
+@example(G1_BROKEN_ROW_TABLE)
+def test_g3_principal_cost_is_g2_over_its_atoms_bit_for_bit(table):
+    # g2 and g3 read jp2 off one evaluator of the vertex table, and a split
+    # that buys nothing reports the kept atom's costs, so g3's principal
+    # cost is the atoms' g2 costs averaged, exactly. Reporting the discarded
+    # split's cost, scenarioA at 0.81 read 1.7599999999999993 against g2's
+    # 1.7599999999999998.
+    for mu in (0.13, 0.37, 0.5, 0.81):
+        r = solve_g3(table, mu)
+        assert r.principal_cost == sum(w * solve_g2(table, p).principal_cost for p, w in r.split.atoms)
 
 
 def test_g3_at_an_interior_prior_solves_no_lp(table_b, monkeypatch):

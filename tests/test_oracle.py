@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from incentive_games import oracle
 from incentive_games.belief_engine import envelope_from_samples, tilde_entropy
 from incentive_games.matrix_games import CostTable, agent_value_curve, solve_g2, solve_g3, solve_g4, value_curves
 from incentive_games.oracle import (
@@ -368,6 +370,20 @@ def test_verify_matrix_all_pass(table_a):
     assert reports
     for r in reports:
         assert r.passed, r
+    # no kappa, no acquisition check
+    without = verify_matrix(table_a, 0.4, grid_size=501)
+    assert [r.quantity for r in without] == [r.quantity for r in reports if "acquisition" not in r.quantity]
+
+
+@pytest.mark.parametrize("kappa", [-1.0, np.nan, np.inf])
+def test_verify_matrix_rejects_a_bad_kappa_before_any_work(table_a, kappa, monkeypatch):
+    # a negative or nan kappa must not drop the acquisition check silently,
+    # nor an infinite one reach the objective before anything raises
+    monkeypatch.setattr(oracle, "_oracle_vertices", lambda table: pytest.fail("work before the kappa check"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="kappa must be finite and nonnegative"):
+            verify_matrix(table_a, 0.4, grid_size=501, kappa=kappa)
 
 
 def test_verify_matrix_b_all_pass(table_b):
