@@ -36,7 +36,6 @@ from incentive_games.matrix_games import (
 from incentive_games.oracle import (
     OracleReport,
     collect_xi,
-    enumerate_bounded_vertices,
     enumerate_vertices,
     oracle_envelope_by_pairs,
     oracle_g2_by_enumeration,
@@ -74,7 +73,6 @@ __all__ = [
     "agent_value_curve",
     "collect_xi",
     "disclosure_coefficient",
-    "enumerate_bounded_vertices",
     "enumerate_vertices",
     "envelope_from_samples",
     "load_scenario",

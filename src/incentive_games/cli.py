@@ -364,8 +364,13 @@ def _dispatch(args) -> int:
     if args.command == "figure" and args.scenario is None:
         args.scenario = _FIGURE_DEFAULT[args.which]
     scenario = load_scenario(args.scenario)
-    if args.grid is not None and args.grid < 2:
-        raise ScenarioError(f"{scenario.source}:1: --grid must be at least 2")
+    # solve_g4 needs three beliefs; it runs on a matrix scenario at an
+    # interior prior, for g4 and in the oracle suite
+    runs_g4 = (scenario.kind == "matrix" and 0.0 < scenario.prior < 1.0
+               and (args.command in ("g4", "verify") or getattr(args, "verify", False)))
+    least = 3 if runs_g4 else 2
+    if args.grid is not None and args.grid < least:
+        raise ScenarioError(f"{scenario.source}:1: --grid must be at least {least}")
     if args.grid is None and scenario.kind == "matrix":
         args.grid = BELIEF_GRID_POINTS
 

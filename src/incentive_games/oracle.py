@@ -10,20 +10,17 @@ solvers, never the g2 or g3 decision logic. So the enumerator's capacity
 (_MAX_BASES) limits `verify` and the oracles alone; a 4x4 or 3x5 table has
 more bases than that, and its solvers still answer.
 
-Vertex enumeration has one core, enumerate_bounded_vertices: for a sequence
-of bounded, nonempty polytopes of one shape (dim, row count and equality
-rows), such as the response-pair polytopes of one table, it builds the rank
-setup and the candidate bases once, solves the square systems of all the
-polytopes in fixed-size batches, tests them with one feasibility rule
-(Polytope.contains) and deduplicates each polytope's in basis order; a
-polytope's vertices do not depend on the others or on the batch size.
-enumerate_vertices first checks one polytope's boundedness and feasibility
-with one LP, then runs the core on it alone. A table's pair polytopes go
-through one batched pass (_pair_vertices): one phase one per pair tells the
-empty ones, and the rest are enumerated together. `verify` and the g2 and
-obedience oracles read its vertices in pair and basis order, and collect_xi
-reads them as sorted schemes. Where the enumerator cannot finish (more than
-_MAX_BASES bases) it raises SolverError, before any LP or basis.
+Vertex enumeration has one core, _vertices: for one bounded, nonempty
+polytope and its rank setup (enumeration_setup) it solves the square systems
+of the candidate bases in fixed-size batches, tests them with one
+feasibility rule (Polytope.contains) and deduplicates them in basis order;
+the vertices do not depend on the batch size. enumerate_vertices first
+checks the polytope's boundedness and feasibility with one LP.
+_pair_vertices enumerates a table's pair polytopes one by one, after one
+phase one per pair tells the empty ones. `verify` and the g2 and obedience
+oracles read its vertices in pair and basis order, and collect_xi reads them
+as sorted schemes. Where the enumerator cannot finish (more than _MAX_BASES
+bases) it raises SolverError, before any LP or basis.
 
 `verify_qg` takes the playouts' expectation by Gauss–Hermite quadrature, so
 it draws nothing and needs no seed. `oracle_qg_montecarlo` averages the same
@@ -41,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -104,11 +100,11 @@ class OracleReport:
 
 DEDUPE_TOL = 1e-9        # L-inf distance under which two vertices are one
 _MAX_BASES = 400_000
-# The square systems of the candidate bases are assembled, factored and
-# solved in batches of _BASES_PER_BLOCK // 4, across polytopes: enough that
-# per-batch overhead vanishes, few enough that a batch's (batch, dim, dim)
-# systems and their temporaries stay a few MB (about 5 MB at dim 12).
-_BASES_PER_BLOCK = 8192
+# A polytope's candidate systems are assembled, factored and solved in
+# batches of _SYSTEMS_PER_BATCH: enough that per-batch overhead vanishes, few
+# enough that a batch's (batch, dim, dim) systems and their temporaries stay a
+# few MB (about 5 MB at dim 12).
+_SYSTEMS_PER_BATCH = 2048
 _RESIDUAL_TOL = 1e-9     # a candidate system solved worse than this is singular
 
 
@@ -129,11 +125,11 @@ def _bounded_and_feasible(p: Polytope) -> bool:
 
 def enumerate_vertices(p: Polytope) -> list[np.ndarray]:
     """All basic feasible solutions of a bounded polytope, deduplicated, in
-    basis order (see enumerate_bounded_vertices). One LP first decides that
-    `p` is bounded (ValueError if not) and nonempty ([] if empty)."""
+    basis order (see _vertices). One LP first decides that `p` is bounded
+    (ValueError if not) and nonempty ([] if empty)."""
     if not _bounded_and_feasible(p):
         return []
-    return enumerate_bounded_vertices([p])[0]
+    return _vertices(p, *enumeration_setup(p))
 
 
 def enumeration_setup(p: Polytope) -> tuple[np.ndarray, np.ndarray]:
@@ -154,116 +150,83 @@ def enumeration_setup(p: Polytope) -> tuple[np.ndarray, np.ndarray]:
     return p.equality_matrix[keep], p.equality_rhs[keep]
 
 
-def _candidate_index(G: np.ndarray, E: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Every choice of dim - len(E) rows of the inequality rows G (stacked
-    per polytope, the x_t >= 0 rows last), in lexicographic order, as an
-    index array; minus two kinds of choice that give no vertex:
-    - one with a row that is zero in every polytope: the system is singular,
-      its LU keeps that row zero, and det is exactly 0;
+def _candidate_bases(G: np.ndarray, E: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Every choice of dim - len(E) of the inequality rows G (the x_t >= 0
+    rows last), in lexicographic order, as a (choices, dim - len(E)) index
+    array; minus two kinds of choice that give no vertex:
+    - one with a zero row: the system is singular, its LU keeps that row
+      zero, and det is exactly 0;
     - one whose x_t >= 0 rows zero the whole support of an equality row with
       |rhs| > 2 * _RESIDUAL_TOL * (1 + sum of |coefficients|): the system
       forces |x_t| <= _RESIDUAL_TOL there, so the computed residual on the
       equality row exceeds _RESIDUAL_TOL.
     """
-    n_rows, d = G.shape[1:]
+    n_rows, d = G.shape
     k = d - E.shape[0]
-    n_bases = math.comb(n_rows, k)
-    combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n_rows), k)),
-                         dtype=np.min_scalar_type(n_rows), count=n_bases * k).reshape(n_bases, k)
-    excluded = [(np.flatnonzero(~np.any(G, axis=(0, 2))), 1)]     # rows zero in every polytope
+    nonzero = np.flatnonzero(np.any(G, axis=1)).tolist()
+    n_bases = math.comb(len(nonzero), k)
+    bases = np.fromiter(itertools.chain.from_iterable(itertools.combinations(nonzero, k)),
+                        dtype=np.intp, count=n_bases * k).reshape(n_bases, k)
     for row, rhs in zip(E, f):
         if abs(rhs) > 2 * _RESIDUAL_TOL * (1 + np.sum(np.abs(row))):
-            support = np.flatnonzero(row)
-            excluded.append((n_rows - d + support, support.size))
-    chosen = np.zeros(n_rows, dtype=bool)
-    for rows, needed in excluded:
-        chosen[:] = False
-        chosen[rows] = True
-        combos = combos[np.count_nonzero(chosen[combos], axis=1) < needed]
-    return combos
+            support = np.zeros(n_rows, dtype=bool)
+            support[n_rows - d:] = row != 0
+            bases = bases[np.count_nonzero(support[bases], axis=1) < np.count_nonzero(row)]
+    return bases
 
 
-def enumerate_bounded_vertices(polytopes: Iterable[Polytope]) -> list[list[np.ndarray]]:
-    """The vertices of each of a sequence of bounded, nonempty polytopes that
-    share dim, the number of constraint rows and the equality rows (say the
-    response-pair polytopes of one table): per polytope, its basic feasible
-    solutions, deduplicated, in basis order.
+def _vertices(p: Polytope, E: np.ndarray, f: np.ndarray) -> list[np.ndarray]:
+    """The basic feasible solutions of a bounded, nonempty polytope `p`,
+    deduplicated, in basis order; E and f are its rank setup
+    (enumeration_setup). Feasibility and boundedness are the caller's to
+    establish.
 
-    Combinatorial active-set enumeration: every choice of dim - rank(eq)
-    inequalities (the constraint rows, then -x_t <= 0 for each t in order),
-    made tight together with a maximal independent subset of the equality
-    rows (taken in row order), is solved as a square system and kept if it
-    satisfies every row of its polytope (Polytope.contains). The rank setup
-    and the candidate index array are built once for all the polytopes; the
-    systems, polytope by polytope and each polytope's bases in lexicographic
-    order, go through in batches of a quarter of _BASES_PER_BLOCK, each step
-    one batched array operation whose per-system result does not depend on
-    the batch. A candidate is a new vertex of its polytope when its L-inf
-    distance to every vertex kept before it exceeds DEDUPE_TOL. More than
-    _MAX_BASES candidate bases per polytope raise SolverError before any is
-    built. Feasibility and boundedness are the caller's to establish.
+    Combinatorial active-set enumeration: every candidate choice of
+    dim - len(E) inequalities (the constraint rows, then -x_t <= 0 for each t
+    in order; _candidate_bases), made tight together with E, is solved as a
+    square system and kept if it satisfies every row of `p`
+    (Polytope.contains). The systems go through in lexicographic order, in
+    batches of _SYSTEMS_PER_BATCH, each step one batched array operation
+    whose per-system result does not depend on the batch. A candidate is a
+    new vertex when its L-inf distance to every vertex kept before it
+    exceeds DEDUPE_TOL.
     """
-    polytopes = list(polytopes)
-    if not polytopes:
-        return []
-    p0 = polytopes[0]
-    d, n_ineq = p0.dim, p0.constraint_matrix.shape[0]
-    for p in polytopes:
-        if (p.dim != d or p.constraint_matrix.shape[0] != n_ineq
-                or not np.array_equal(p.equality_matrix, p0.equality_matrix)
-                or not np.array_equal(p.equality_rhs, p0.equality_rhs)):
-            raise ValueError("batched polytopes must share dim, row count and equality rows")
-    E, f = enumeration_setup(p0)
-    n_eq = E.shape[0]
-    G = np.stack([np.vstack([p.constraint_matrix, -np.eye(d)]) for p in polytopes])   # x >= 0 as -x <= 0
-    h = np.stack([np.concatenate([p.rhs, np.zeros(d)]) for p in polytopes])
-    combos = _candidate_index(G, E, f)
+    d, n_eq = p.dim, E.shape[0]
+    G = np.vstack([p.constraint_matrix, -np.eye(d)])   # x >= 0 as -x <= 0
+    h = np.concatenate([p.rhs, np.zeros(d)])
+    bases = _candidate_bases(G, E, f)
     # max |entry| of a system is the max over its rows' maxima: max is exact
-    row_max = np.max(np.abs(G), axis=2)
+    row_max = np.max(np.abs(G), axis=1)
     eq_max = float(np.max(np.abs(E))) if n_eq else 0.0
-    unique: list[list[np.ndarray]] = [[] for _ in polytopes]
-    n_cand = combos.shape[0]
-    batch = max(1, _BASES_PER_BLOCK // 4)
-    for start in range(0, len(polytopes) * n_cand, batch):
-        owner, c = np.divmod(np.arange(start, min(start + batch, len(polytopes) * n_cand)), n_cand)
-        rows = combos[c]
-        mats = np.empty((c.size, d, d))
-        rhss = np.empty((c.size, d))
+    unique: list[np.ndarray] = []
+    for start in range(0, len(bases), _SYSTEMS_PER_BATCH):
+        rows = bases[start:start + _SYSTEMS_PER_BATCH]
+        mats = np.empty((len(rows), d, d))
+        rhss = np.empty((len(rows), d))
         mats[:, :n_eq] = E
         rhss[:, :n_eq] = f
-        mats[:, n_eq:] = G[owner[:, None], rows]
-        rhss[:, n_eq:] = h[owner[:, None], rows]
-        scale = np.max(row_max[owner[:, None], rows], axis=1, initial=eq_max)
+        mats[:, n_eq:] = G[rows]
+        rhss[:, n_eq:] = h[rows]
+        scale = np.max(row_max[rows], axis=1, initial=eq_max)
         with np.errstate(all="ignore"):
             dets = np.linalg.det(mats)
         ok = np.abs(dets) > 1e-12 * np.maximum(1.0, scale ** d)
-        mats, rhss, owner = mats[ok], rhss[ok], owner[ok]
+        mats, rhss = mats[ok], rhss[ok]
         xs = np.linalg.solve(mats, rhss[..., None])[..., 0]
         resid = np.max(np.abs(np.einsum("bij,bj->bi", mats, xs) - rhss), axis=1)
         # x >= -FEAS_TOL is also a test of contains: checked here for the
-        # whole batch, it leaves contains fewer points per polytope
-        good = ~(resid > _RESIDUAL_TOL) & np.all(np.isfinite(xs) & (xs >= -FEAS_TOL), axis=1)
-        xs, owner = xs[good], owner[good]
-        for q in owner[np.flatnonzero(np.diff(owner, prepend=-1))]:   # owner is sorted
-            pts = xs[owner == q]
-            pts = pts[polytopes[q].contains(pts)]
-            # Greedy dedupe in basis order, one pass per kept vertex: the
-            # earliest remaining candidate is always kept, and drops every
-            # later one near it.
-            for u in unique[q]:
-                pts = pts[np.abs(pts - u).max(axis=1) > DEDUPE_TOL]
-            while len(pts):
-                unique[q].append(pts[0].copy())
-                pts = pts[np.abs(pts - pts[0]).max(axis=1) > DEDUPE_TOL]
+        # whole batch, it leaves contains fewer points
+        pts = xs[~(resid > _RESIDUAL_TOL) & np.all(np.isfinite(xs) & (xs >= -FEAS_TOL), axis=1)]
+        pts = pts[p.contains(pts)]
+        # Greedy dedupe in basis order, one pass per kept vertex: the
+        # earliest remaining candidate is always kept, and drops every later
+        # one near it.
+        for u in unique:
+            pts = pts[np.abs(pts - u).max(axis=1) > DEDUPE_TOL]
+        while len(pts):
+            unique.append(pts[0].copy())
+            pts = pts[np.abs(pts - pts[0]).max(axis=1) > DEDUPE_TOL]
     return unique
-
-
-@dataclass(frozen=True)
-class XiCollection:
-    """Vertices of every response-pair polytope, grouped by pair (a pair
-    whose polytope is empty maps to ())."""
-
-    groups: dict[tuple[int, int], tuple[np.ndarray, ...]]
 
 
 def _pair_polytopes(table: CostTable) -> dict[tuple[int, int], Polytope]:
@@ -294,27 +257,24 @@ def _pair_polytopes(table: CostTable) -> dict[tuple[int, int], Polytope]:
 def _pair_vertices(table: CostTable) -> dict[tuple[int, int], list[np.ndarray]]:
     """The raw vertices of every response-pair polytope, in pair order and,
     within a pair, in basis order ([] for an empty pair). The pair polytopes
-    share their shape, so a table too large to enumerate fails first, before
-    any LP or basis. One phase one per pair then tells the empty ones; every
-    pair polytope is bounded (each variable lies in a column-sum row with
-    x >= 0), so the nonempty ones go through enumerate_bounded_vertices
-    together, and each gets the vertices its own enumerate_vertices call
-    would."""
+    share their shape and equality rows, so one rank setup serves them all,
+    and a table too large to enumerate fails there, before any LP or basis.
+    Every pair polytope is bounded (each variable lies in a column-sum row
+    with x >= 0), so one phase one per pair tells the empty ones, and each
+    other pair gets the vertices its own enumerate_vertices call would."""
     polytopes = _pair_polytopes(table)
-    enumeration_setup(polytopes[0, 0])
-    nonempty = [pair for pair, p in polytopes.items() if phase_one(p) is not None]
-    out = {pair: [] for pair in polytopes}
-    out.update(zip(nonempty, enumerate_bounded_vertices([polytopes[pair] for pair in nonempty])))
-    return out
+    E, f = enumeration_setup(polytopes[0, 0])
+    return {pair: [] if phase_one(p) is None else _vertices(p, E, f) for pair, p in polytopes.items()}
 
 
-def collect_xi(table: CostTable) -> XiCollection:
-    """Every vertex of every response-pair polytope as a scheme, each group
-    sorted by _scheme_key (_pair_vertices)."""
-    return XiCollection(groups={
+def collect_xi(table: CostTable) -> dict[tuple[int, int], tuple[np.ndarray, ...]]:
+    """Every vertex of every response-pair polytope as a scheme, grouped by
+    pair in pair order (a pair whose polytope is empty maps to ()), each
+    group sorted by _scheme_key (_pair_vertices)."""
+    return {
         pair: tuple(sorted((_to_matrix(v, table.m, table.n) for v in verts), key=_scheme_key))
         for pair, verts in _pair_vertices(table).items()
-    })
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +427,11 @@ def verify_matrix(table: CostTable, prior, grid_size: int = 2001, kappa: float |
     """Cross-check every matrix solver on one table: g2 against enumeration
     at several beliefs, the hull walk against pair bracketing, persuasion
     against the envelope theorem and the obedience LP, and acquisition
-    against an independently assembled envelope. The vertices come from one
-    batched pass over the pair polytopes (_pair_vertices) and are shared by
-    the g2 and obedience oracles. `kappa`, when given, must be finite and
-    nonnegative; None leaves out the acquisition check."""
+    against an independently assembled envelope. The vertices are enumerated
+    once, pair polytope by pair polytope (_pair_vertices), and shared by the
+    g2 and obedience oracles. At prior 0 or 1 there is nothing to persuade,
+    so the g3 and acquisition checks are left out. `kappa`, when given, must
+    be finite and nonnegative; None leaves out the acquisition check."""
     mu = as_probability(prior)
     if kappa is not None and not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError("kappa must be finite and nonnegative")

@@ -166,7 +166,7 @@ def test_criterion_07_vertex_group_reproduction(table_a):
 
     problems = []
     for group, mats in sorted(listing.items()):
-        got, want = keys(xi.groups[group]), keys(mats)
+        got, want = keys(xi[group]), keys(mats)
         if got != want:
             problems.append(
                 f"group {group}: {len(got - want)} extra, {len(want - got)} missing"

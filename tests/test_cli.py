@@ -370,6 +370,17 @@ def test_bad_grid_exits_2(capsys):
     assert "--grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [("g4",), ("verify",), ("g2", "--verify")])
+def test_grid_of_two_is_refused_where_acquisition_runs(capsys, argv):
+    # the acquisition solve needs three beliefs; the refusal names the
+    # scenario like every other input error
+    command, *flags = argv
+    assert run(command, "scenarioA", *flags, "--grid", "2") == 2
+    assert capsys.readouterr().err == "error: scenarioA:1: --grid must be at least 3\n"
+    # where acquisition does not run, two beliefs are enough
+    assert run("sweep", "scenarioA", "--grid", "2") == 0
+
+
 def test_argparse_errors_exit_2(capsys):
     assert run("g2") == 2
     assert run("sweep", "scenarioA", "--over", "bogus") == 2

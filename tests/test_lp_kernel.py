@@ -15,7 +15,7 @@ from incentive_games.lp_kernel import (
     phase_two,
 )
 from incentive_games.matrix_games import CostTable, _pair_polytope
-from incentive_games.oracle import enumerate_bounded_vertices, enumerate_vertices
+from incentive_games.oracle import enumerate_vertices
 
 try:  # test-only reference solver; the package itself needs only numpy
     from scipy.optimize import linprog
@@ -599,14 +599,36 @@ def _point_polytope(rng) -> Polytope:
     return Polytope(dim=d, equality_matrix=rng.integers(-2, 3, (d, d)), equality_rhs=rng.integers(-1, 3, d))
 
 
-@pytest.mark.parametrize("block", [oracle._BASES_PER_BLOCK, 5])
-@settings(max_examples=40, deadline=None, derandomize=True)
+def _simplex_polytope(rng) -> Polytope:
+    """x lies in one simplex or in two, so a choice of x_t >= 0 rows can zero
+    a whole equality row; the rows are real or small integers (degenerate
+    vertices); now and then one row is zero, which makes every system that
+    holds it singular."""
+    d = int(rng.integers(2, 7))
+    cut = int(rng.integers(1, d)) if d > 2 and rng.integers(0, 2) else d
+    eq = np.array([np.arange(d) < cut, np.arange(d) >= cut], dtype=float)[: 1 if cut == d else 2]
+    k = int(rng.integers(1, 4))
+    if rng.integers(0, 2):
+        a, r = rng.normal(size=(k, d)), rng.uniform(-0.2, 1.5, k)
+    else:
+        a, r = rng.integers(-2, 3, (k, d)).astype(float), rng.integers(0, 3, k).astype(float)
+    if rng.integers(0, 2):
+        zero_row = int(rng.integers(0, k))
+        a[zero_row] = 0.0
+        r[zero_row] = abs(r[zero_row])
+    return Polytope(dim=d, constraint_matrix=a, rhs=r, equality_matrix=eq, equality_rhs=np.ones(eq.shape[0]))
+
+
+@pytest.mark.parametrize("batch", [oracle._SYSTEMS_PER_BATCH, 1])
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(0, 10_000), st.sampled_from([_random_polytope, _degenerate_polytope,
-                                                _pair_polytope_of, _point_polytope]))
-def test_batched_enumeration_equals_the_per_basis_reference(block, seed, make):
+                                                _pair_polytope_of, _point_polytope,
+                                                _simplex_polytope]))
+def test_batched_enumeration_equals_the_per_basis_reference(batch, seed, make):
+    # with batch 1, one system per batch, so the dedupe runs across batches
     p = make(np.random.default_rng(seed))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_BASES_PER_BLOCK", block)
+        mp.setattr(oracle, "_SYSTEMS_PER_BATCH", batch)
         fast = _outcome(enumerate_vertices, p)
     slow = _outcome(_naive_vertices, p)
     if isinstance(slow, type):
@@ -616,73 +638,29 @@ def test_batched_enumeration_equals_the_per_basis_reference(block, seed, make):
     assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
 
 
-def _polytope_family(rng) -> list[Polytope]:
-    """One to four polytopes that share dim, row count and equality rows.
-    x lies in one simplex or in two, so a choice of x_t >= 0 rows can zero a
-    whole equality row; the rows are real or small integers (degenerate
-    vertices); now and then one row is zero in every polytope, which makes
-    every system that holds it singular."""
-    d = int(rng.integers(2, 7))
-    cut = int(rng.integers(1, d)) if d > 2 and rng.integers(0, 2) else d
-    eq = np.array([np.arange(d) < cut, np.arange(d) >= cut], dtype=float)[: 1 if cut == d else 2]
-    k = int(rng.integers(1, 4))
-    zero_row = int(rng.integers(0, k)) if rng.integers(0, 2) else None
-    family = []
-    for _ in range(int(rng.integers(1, 5))):
-        if rng.integers(0, 2):
-            a, r = rng.normal(size=(k, d)), rng.uniform(-0.2, 1.5, k)
-        else:
-            a, r = rng.integers(-2, 3, (k, d)).astype(float), rng.integers(0, 3, k).astype(float)
-        if zero_row is not None:
-            a[zero_row] = 0.0
-            r[zero_row] = abs(r[zero_row])
-        family.append(Polytope(dim=d, constraint_matrix=a, rhs=r,
-                               equality_matrix=eq, equality_rhs=np.ones(eq.shape[0])))
-    return family
-
-
-@pytest.mark.parametrize("block", [oracle._BASES_PER_BLOCK, 5])
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(0, 10_000))
-def test_enumeration_of_several_polytopes_equals_the_per_basis_reference(block, seed):
-    # one call for the whole family (with block 5, one system per batch, so
-    # a polytope's bases span many batches) against each polytope alone
-    family = [p for p in _polytope_family(np.random.default_rng(seed)) if oracle._bounded_and_feasible(p)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_BASES_PER_BLOCK", block)
-        batched = enumerate_bounded_vertices(family)
-    assert len(batched) == len(family)
-    for got, p in zip(batched, family):
-        want = _naive_vertices(p)
-        assert len(got) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
 def test_candidate_bases_drop_only_systems_that_give_no_vertex():
     # x in two 2-simplices with no other row: C(4, 2) = 6 choices of two
     # x_t >= 0 rows, of which {0, 1} and {2, 3} zero a whole simplex
     eq = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
-    G = -np.eye(4)[None]
-    assert oracle._candidate_index(G, eq, np.ones(2)).tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]]
+    G = -np.eye(4)
+    assert oracle._candidate_bases(G, eq, np.ones(2)).tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]]
     # with rhs 0 the zeroed simplex is the vertex 0: nothing is dropped
-    assert len(oracle._candidate_index(G, eq, np.zeros(2))) == 6
-    # a row zero in every polytope of the call never joins a basis; one that
-    # is zero in only some does
-    zero_in_all = np.concatenate([np.zeros((2, 1, 4)), np.broadcast_to(-np.eye(4), (2, 4, 4))], axis=1)
-    assert 0 not in oracle._candidate_index(zero_in_all, eq[:1], np.zeros(1))
-    zero_in_one = zero_in_all.copy()
-    zero_in_one[1, 0] = 1.0
-    assert 0 in oracle._candidate_index(zero_in_one, eq[:1], np.zeros(1))
-    square = Polytope(dim=2, constraint_matrix=np.eye(2), rhs=np.ones(2))
-    assert enumerate_bounded_vertices([]) == []
-    with pytest.raises(ValueError, match="share"):
-        enumerate_bounded_vertices([square, Polytope(dim=2, constraint_matrix=np.eye(3)[:, :2], rhs=np.ones(3))])
+    assert len(oracle._candidate_bases(G, eq, np.zeros(2))) == 6
+    # a zero row never joins a basis; the same row made nonzero does
+    with_zero_row = np.vstack([np.zeros((1, 4)), -np.eye(4)])
+    assert 0 not in oracle._candidate_bases(with_zero_row, eq[:1], np.zeros(1))
+    assert len(oracle._candidate_bases(with_zero_row, eq[:1], np.zeros(1))) == 4
+    with_zero_row[0, 0] = 1.0
+    assert 0 in oracle._candidate_bases(with_zero_row, eq[:1], np.zeros(1))
+    # as many equality rows as variables: one empty choice
+    assert oracle._candidate_bases(G, np.eye(4), np.ones(4)).shape == (1, 0)
 
 
 def _two_by_six_pair_polytope() -> Polytope:
     # Agent indifferent everywhere: the best-response rows are 0 <= 0, so the
-    # polytope is the product of six 2-point simplices, 64 vertices among
-    # C(22, 6) = 74,613 candidate bases.
+    # polytope is the product of six 2-point simplices, 64 vertices. The
+    # capacity check counts C(22, 6) = 74,613 bases; leaving out the ten zero
+    # rows and the choices that zero a whole simplex leaves 64 candidates.
     cp = np.arange(12.0).reshape(2, 6)
     return _pair_polytope(CostTable(cp=(cp, cp), ca=(np.zeros((2, 6)), np.zeros((2, 6)))), 0, 0)
 
@@ -697,7 +675,7 @@ def test_enumeration_memory_is_bounded_by_the_block_size(monkeypatch):
         tracemalloc.stop()
     assert len(blocked) == 64
     assert peak < 32 * 2**20
-    monkeypatch.setattr(oracle, "_BASES_PER_BLOCK", 10**6)
+    monkeypatch.setattr(oracle, "_SYSTEMS_PER_BATCH", 250_000)
     whole = enumerate_vertices(p)
     assert len(whole) == len(blocked)
     assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))

@@ -24,7 +24,6 @@ from incentive_games.matrix_games import (
 )
 from incentive_games.oracle import (
     collect_xi,
-    enumerate_bounded_vertices,
     enumerate_vertices,
     oracle_g2_by_enumeration,
 )
@@ -395,7 +394,7 @@ def test_g1_state_one_cost_is_jp2_at_belief_one_where_a_row_with_a_unit_coeffici
 def test_the_enumerator_keeps_no_scheme_that_breaks_a_best_response_row(table):
     # In pairs (1, j) action 1 must be a best response in state one, which
     # forces gamma[0][1] = 0; the oracle's enumerator keeps gamma[0][1] = 1.
-    groups = collect_xi(table).groups
+    groups = collect_xi(table)
     assert not any(gamma[0, 1] == 1.0 for (i, _), mats in groups.items() if i == 1 for gamma in mats)
 
 
@@ -929,7 +928,7 @@ def test_collect_xi_refuses_a_table_too_large_to_enumerate(shape, bases, monkeyp
         return record
 
     monkeypatch.setattr(oracle, "phase_one", refused("phase_one"))
-    monkeypatch.setattr(oracle, "_candidate_index", refused("_candidate_index"))
+    monkeypatch.setattr(oracle, "_candidate_bases", refused("_candidate_bases"))
     with pytest.raises(SolverError, match=f"would examine {bases} bases"):
         collect_xi(table)
     assert calls == []
@@ -952,34 +951,25 @@ def test_curve_rejects_tiny_grid(table_a):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("block", [oracle._BASES_PER_BLOCK, 64])
+@pytest.mark.parametrize("batch", [oracle._SYSTEMS_PER_BATCH, 16])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_small_tables())
 @example(_dominant_column_table())
 @example(TINY_PIVOT_TABLE)
 @example(NEAR_FEASIBLE_TABLE)
 @example(load_scenario("scenarioB").table)
-def test_collect_xi_equals_per_pair_enumeration_bit_for_bit(block, table):
-    # collect_xi and verify's _oracle_vertices enumerate the nonempty pairs
-    # in one batched call (with block 64, 16 systems per batch, so every
-    # batch boundary of a 3x3 table falls inside a pair); each pair's
-    # vertices, and the schemes built from them, must be what its own
-    # enumerate_vertices call gives.
+def test_collect_xi_equals_per_pair_enumeration_bit_for_bit(batch, table):
+    # collect_xi and verify's _oracle_vertices share one rank setup across
+    # the pairs (with batch 16, a 3x3 pair polytope's candidate bases span
+    # many batches); each pair's vertices, and the schemes built from them,
+    # must be what its own enumerate_vertices call gives at the default batch.
     m, n = table.m, table.n
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    polytopes = [_pair_polytope(table, i, j) for i, j in pairs]
-    singly = [enumerate_vertices(p) for p in polytopes]
-    nonempty = [lp_kernel.phase_one(p) is not None for p in polytopes]
+    singly = [enumerate_vertices(_pair_polytope(table, i, j)) for i, j in pairs]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_BASES_PER_BLOCK", block)
-        batched = enumerate_bounded_vertices([p for p, ok in zip(polytopes, nonempty) if ok])
-        groups = collect_xi(table).groups
+        mp.setattr(oracle, "_SYSTEMS_PER_BATCH", batch)
+        groups = collect_xi(table)
         flat = oracle._oracle_vertices(table)
-    assert all(not verts for verts, ok in zip(singly, nonempty) if not ok)
-    assert len(batched) == sum(nonempty)
-    for got, want in zip(batched, [verts for verts, ok in zip(singly, nonempty) if ok]):
-        assert len(got) == len(want)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
     for pair, verts in zip(pairs, singly):
         want = sorted((_to_matrix(v, m, n) for v in verts), key=_scheme_key)
         assert [g.tobytes() for g in groups[pair]] == [g.tobytes() for g in want]
@@ -991,7 +981,9 @@ def test_collect_xi_equals_per_pair_enumeration_bit_for_bit(block, table):
 def _all_indifferent_two_by_six() -> CostTable:
     # The agent is indifferent everywhere: every best-response row is 0 <= 0,
     # so each of the 36 pair polytopes is the product of six 2-point
-    # simplices, 64 vertices among C(22, 6) = 74,613 candidate bases.
+    # simplices, 64 vertices. The capacity check counts C(22, 6) = 74,613
+    # bases; leaving out the ten zero rows and the choices that zero a whole
+    # simplex leaves 2^6 = 64 candidates per pair, one per vertex.
     cp = np.arange(12.0).reshape(2, 6)
     return CostTable(cp=(cp, cp), ca=(np.zeros((2, 6)), np.zeros((2, 6))))
 
@@ -1006,15 +998,15 @@ def _three_by_three() -> CostTable:
 
 @pytest.mark.parametrize("make, limit_mb", [(_three_by_three, 6), (_all_indifferent_two_by_six, 10)])
 def test_collect_xi_memory_is_bounded_by_the_batch(make, limit_mb):
-    # One batch holds a quarter of _BASES_PER_BLOCK systems whatever the
-    # table: the peak is about 2.6 MB for the 3x3 table (3.7 MB on the first
-    # call in a process) and 5.3 MB for the 2x6 one. All of the 3x3 table's
-    # systems in one batch would peak at 13.9 MB, and the 2x6 table's 1.7
-    # million 12x12 systems at gigabytes.
+    # Enumeration holds at most _SYSTEMS_PER_BATCH systems of one polytope
+    # at a time, whatever the table: the peak is about 1.7 MB for the 3x3
+    # table (each pair polytope's candidates fit in one batch) and 1.1 MB for
+    # the 2x6 one. All of the 3x3 table's systems in one batch would peak at
+    # 13.9 MB.
     table = make()
     tracemalloc.start()
     try:
-        groups = collect_xi(table).groups
+        groups = collect_xi(table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1027,7 +1019,7 @@ def test_collect_xi_memory_is_bounded_by_the_batch(make, limit_mb):
 
 def test_collect_xi_groups_on_a(table_a):
     xi = collect_xi(table_a)
-    sizes = {g: len(mats) for g, mats in xi.groups.items()}
+    sizes = {g: len(mats) for g, mats in xi.items()}
     assert sizes == {(0, 0): 1, (0, 1): 4, (1, 0): 3, (1, 1): 3}
     listed = [
         np.array([[0.0, 0.0], [1.0, 1.0]]),   # columns (0,1), (0,1)
@@ -1035,7 +1027,7 @@ def test_collect_xi_groups_on_a(table_a):
         np.array([[0.5, 1.0], [0.5, 0.0]]),   # columns (0.5,0.5), (1,0)
     ]
     for want in listed:
-        assert any(np.allclose(mat, want, atol=1e-9) for mat in xi.groups[(0, 1)])
+        assert any(np.allclose(mat, want, atol=1e-9) for mat in xi[(0, 1)])
 
 
 def test_collect_xi_dominant_column_empties_other_groups():
@@ -1045,10 +1037,10 @@ def test_collect_xi_dominant_column_empties_other_groups():
         ca=([[5.0, 1.0], [5.0, 1.0]], [[4.0, 0.0], [4.0, 0.0]]),
     )
     xi = collect_xi(table)
-    assert xi.groups[(1, 1)]
-    assert not xi.groups[(0, 0)]
-    assert not xi.groups[(0, 1)]
-    assert not xi.groups[(1, 0)]
+    assert xi[(1, 1)]
+    assert not xi[(0, 0)]
+    assert not xi[(0, 1)]
+    assert not xi[(1, 0)]
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -1058,8 +1050,8 @@ def test_collect_xi_matches_direct_enumeration(table):
     # share a _scheme_key (it rounds to 9 decimals); their relative order is
     # not specified, so compare the key sequence and the exact vertex sets.
     xi = collect_xi(table)
-    assert list(xi.groups) == [(i, j) for i in range(table.n) for j in range(table.n)]
-    for (i, j), mats in xi.groups.items():
+    assert list(xi) == [(i, j) for i in range(table.n) for j in range(table.n)]
+    for (i, j), mats in xi.items():
         verts = enumerate_vertices(_pair_polytope(table, i, j))
         want = sorted((_to_matrix(v, table.m, table.n) for v in verts), key=_scheme_key)
         assert [_scheme_key(g) for g in mats] == [_scheme_key(g) for g in want]
@@ -1070,7 +1062,7 @@ def test_collect_xi_matches_direct_enumeration(table):
 @given(_tables(2))
 def test_collect_xi_vertices_satisfy_their_constraints(table):
     xi = collect_xi(table)
-    for (i, j), mats in xi.groups.items():
+    for (i, j), mats in xi.items():
         for gamma in mats:
             for state, rec in ((0, i), (1, j)):
                 cost_rec = gamma[:, rec] @ table.ca[state][:, rec]
