@@ -599,33 +599,44 @@ def _point_polytope(rng) -> Polytope:
     return Polytope(dim=d, equality_matrix=rng.integers(-2, 3, (d, d)), equality_rhs=rng.integers(-1, 3, d))
 
 
-def _simplex_polytope(rng) -> Polytope:
-    """x lies in one simplex or in two, so a choice of x_t >= 0 rows can zero
-    a whole equality row; the rows are real or small integers (degenerate
-    vertices); now and then one row is zero, which makes every system that
-    holds it singular."""
+def _polytope_family(rng) -> list[Polytope]:
+    """One to four polytopes that share dim, row count and equality rows.
+    x lies in one simplex or in two, so a choice of x_t >= 0 rows can zero a
+    whole equality row; the rows are real or small integers (degenerate
+    vertices); now and then one row is zero in every polytope, which makes
+    every system that holds it singular."""
     d = int(rng.integers(2, 7))
     cut = int(rng.integers(1, d)) if d > 2 and rng.integers(0, 2) else d
     eq = np.array([np.arange(d) < cut, np.arange(d) >= cut], dtype=float)[: 1 if cut == d else 2]
     k = int(rng.integers(1, 4))
-    if rng.integers(0, 2):
-        a, r = rng.normal(size=(k, d)), rng.uniform(-0.2, 1.5, k)
-    else:
-        a, r = rng.integers(-2, 3, (k, d)).astype(float), rng.integers(0, 3, k).astype(float)
-    if rng.integers(0, 2):
-        zero_row = int(rng.integers(0, k))
-        a[zero_row] = 0.0
-        r[zero_row] = abs(r[zero_row])
-    return Polytope(dim=d, constraint_matrix=a, rhs=r, equality_matrix=eq, equality_rhs=np.ones(eq.shape[0]))
+    zero_row = int(rng.integers(0, k)) if rng.integers(0, 2) else None
+    family = []
+    for _ in range(int(rng.integers(1, 5))):
+        if rng.integers(0, 2):
+            a, r = rng.normal(size=(k, d)), rng.uniform(-0.2, 1.5, k)
+        else:
+            a, r = rng.integers(-2, 3, (k, d)).astype(float), rng.integers(0, 3, k).astype(float)
+        if zero_row is not None:
+            a[zero_row] = 0.0
+            r[zero_row] = abs(r[zero_row])
+        family.append(Polytope(dim=d, constraint_matrix=a, rhs=r,
+                               equality_matrix=eq, equality_rhs=np.ones(eq.shape[0])))
+    return family
 
 
-@pytest.mark.parametrize("batch", [oracle._SYSTEMS_PER_BATCH, 1])
+def _simplex_polytope(rng) -> Polytope:
+    return _polytope_family(rng)[0]
+
+
+# Systems per batch: the default; 8192, more than any polytope here has, so
+# one batch again; 5, so a polytope's systems span batches of several each;
+# 1, so the dedupe runs across batches only.
+@pytest.mark.parametrize("batch", [oracle._SYSTEMS_PER_BATCH, 8192, 5, 1])
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(0, 10_000), st.sampled_from([_random_polytope, _degenerate_polytope,
                                                 _pair_polytope_of, _point_polytope,
                                                 _simplex_polytope]))
 def test_batched_enumeration_equals_the_per_basis_reference(batch, seed, make):
-    # with batch 1, one system per batch, so the dedupe runs across batches
     p = make(np.random.default_rng(seed))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_SYSTEMS_PER_BATCH", batch)
@@ -636,6 +647,26 @@ def test_batched_enumeration_equals_the_per_basis_reference(batch, seed, make):
         return
     assert len(fast) == len(slow)
     assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
+
+
+@pytest.mark.parametrize("batch", [8192, 5])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000))
+def test_enumeration_of_several_polytopes_equals_the_per_basis_reference(batch, seed):
+    # One rank setup, built from the first polytope, serves the whole family,
+    # as it serves every pair polytope of a table (_pair_vertices); each
+    # polytope's vertices equal its own per-basis reference.
+    family = [p for p in _polytope_family(np.random.default_rng(seed)) if oracle._bounded_and_feasible(p)]
+    if not family:
+        return
+    E, f = oracle.enumeration_setup(family[0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_SYSTEMS_PER_BATCH", batch)
+        shared = [oracle._vertices(p, E, f) for p in family]
+    for got, p in zip(shared, family):
+        want = _naive_vertices(p)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_candidate_bases_drop_only_systems_that_give_no_vertex():
